@@ -4,8 +4,11 @@
 Runs the quick pytest-benchmark subset (everything not marked ``slow``)
 with ``--benchmark-json``, extracts the headline medians, adds direct
 best-of-N measurements for the metrics the PR acceptance bars track
-(prediction latency, kernel speedup, campaign throughput, fastsim
-throughput), and writes ``BENCH_<pr>.json`` at the repo root.
+(prediction latency, kernel speedup, booster fit time and native-grower
+speedup, campaign throughput, fastsim throughput), and writes
+``BENCH_<pr>.json`` at the repo root. A ``provenance`` block records
+the commit (and whether the tree was dirty), the Python version, the
+CPU model and count, whether the C kernel loaded, and ``REPRO_JOBS``.
 
 Usage::
 
@@ -21,13 +24,16 @@ loops); ``current`` holds this tree's numbers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,6 +47,60 @@ def _best_of(fn, rounds: int) -> float:
     return best
 
 
+@contextlib.contextmanager
+def numpy_grower():
+    """Fit trees with the numpy oracle ``GradTree._build`` in the block
+    (prediction kernels stay native, as before the native grower)."""
+    from repro.ml import tree
+
+    with mock.patch.object(tree, "_grows_natively", return_value=False):
+        yield
+
+
+def assert_same_booster(model, oracle, Xq) -> None:
+    """Bit-identity of two boosters' node pools and predictions."""
+    a, b = model.flat, oracle.flat
+    for name in ("feature", "threshold", "left", "right", "value", "roots"):
+        if getattr(a, name).tobytes() != getattr(b, name).tobytes():
+            raise AssertionError(f"native grower differs from numpy in {name}")
+    if model.predict(Xq).tobytes() != oracle.predict(Xq).tobytes():
+        raise AssertionError("native grower changes booster predictions")
+
+
+def provenance() -> dict:
+    """What the numbers were measured on: commit, interpreter, CPU, and
+    whether the C kernel was in play. Not a metric; the gate ignores it."""
+    from repro.ml import _ckernel
+
+    def git(*args: str) -> str | None:
+        try:
+            proc = subprocess.run(
+                ["git", "-C", str(ROOT), *args],
+                capture_output=True, text=True, timeout=30,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    status = git("status", "--porcelain")
+    cpu_model = platform.processor()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                cpu_model = line.split(":", 1)[1].strip()
+                break
+    return {
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "python": platform.python_version(),
+        "cpu_model": cpu_model,
+        "cpu_count": os.cpu_count(),
+        "ckernel_loaded": _ckernel.available(),
+        "repro_jobs": os.environ.get("REPRO_JOBS"),
+    }
+
+
 def direct_metrics() -> dict[str, float]:
     """Headline metrics, measured directly (best-of-N, one process)."""
     import numpy as np
@@ -51,21 +111,32 @@ def direct_metrics() -> dict[str, float]:
     from repro.machine.model import NoiseModel
     from repro.machine.topology import Topology
     from repro.machine.zoo import hydra, tiny_testbed
+    from repro.ml import _ckernel
     from repro.ml.boosting import GradientBoostingRegressor
     from repro.mpilib import get_library
 
     out: dict[str, float] = {}
 
     # -- booster fit + predict (the paper's XGBoost configuration) ----
+    _ckernel.load()  # compile outside every timed region (cold runners)
     rng = np.random.default_rng(42)
     X = rng.random((2000, 4))
     y = np.exp(rng.normal(size=2000)) * 1e-4
-    t0 = time.perf_counter()
-    model = GradientBoostingRegressor(n_rounds=200, max_depth=6, rng=0)
-    model.fit(X, y)
-    out["booster_fit_2000_s"] = time.perf_counter() - t0
     Xq = rng.random((10_000, 4))
-    model.predict(Xq)  # warm (compiles the kernel + flat ensemble)
+
+    def fit() -> GradientBoostingRegressor:
+        return GradientBoostingRegressor(n_rounds=200, max_depth=6, rng=0).fit(X, y)
+
+    # parity before any timing: a fast-but-wrong grower must not score
+    # (the check also warms the flat ensemble for the predict timings)
+    model = fit()
+    with numpy_grower():
+        oracle = fit()
+    assert_same_booster(model, oracle, Xq)
+    out["booster_fit_2000_s"] = _best_of(fit, 3)
+    with numpy_grower():
+        numpy_fit_s = _best_of(fit, 1)
+    out["booster_fit_speedup_x"] = numpy_fit_s / out["booster_fit_2000_s"]
     out["booster_predict_10k_s"] = _best_of(lambda: model.predict(Xq), 7)
     out["booster_predict_10k_recursive_s"] = _best_of(
         lambda: model.predict_recursive(Xq), 3
@@ -414,7 +485,8 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    report: dict = {"pr": args.pr, "current": direct_metrics()}
+    report: dict = {"pr": args.pr, "provenance": provenance()}
+    report["current"] = direct_metrics()
     if not args.skip_pytest:
         report["pytest_benchmark_medians_s"] = pytest_benchmark_medians()
     if args.baseline is not None:

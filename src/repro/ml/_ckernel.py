@@ -1,13 +1,19 @@
-"""Optional native acceleration for the flat tree kernels.
+"""Optional native acceleration for tree inference, tree growing and
+compiled decision tables.
+
+One small C file holds every native kernel of the package: the flat
+tree descent (:mod:`repro.ml.kernels`), the exact-greedy tree grower
+(:mod:`repro.ml.tree`) and the decision-table lookup
+(:mod:`repro.serve.compiled`). It is compiled with the system ``cc``
+the first time it is needed and the shared object is cached per
+source hash.
 
 The numpy level-wise descent in :mod:`repro.ml.kernels` is already
 recursion-free, but advanced indexing costs ~10 ns per (row, tree,
 level) visit — the gather loop is index-arithmetic bound. The C
-descent below does the same visit in ~1 ns, so this module compiles
-one small C file with the system ``cc`` the first time it is needed
-and caches the shared object per source hash.
+descent below does the same visit in ~1 ns.
 
-Speed comes from four classic tricks:
+The descent's speed comes from four classic tricks:
 
 * **branchless steps** — children are allocated adjacently
   (``right == left + 1``) and leaves carry ``threshold = +inf`` with a
@@ -24,12 +30,21 @@ Speed comes from four classic tricks:
   inner) so an 8-tree chunk's few hundred nodes stay L1-resident for
   the entire row sweep instead of being evicted between rows.
 
+The tree grower (``repro_grow_tree``) replaces the numpy
+``GradTree._build``: it scans presorted column blocks and stably
+partitions them into the children, so no node sorts anything, and it
+writes the ``FlatTree`` arrays directly. It reproduces numpy's float
+order (pairwise ``sum``, sequential ``cumsum``, ``argmax`` ties), so the
+grown trees are the oracle's, bit for bit.
+
 Strictly optional and strictly bit-identical: no compiler, a failed
 compile, or ``REPRO_NO_CKERNEL=1`` falls back to the numpy path. The C
 loop performs exactly the oracle's ``x[f] <= threshold`` float64
 comparisons, and the fused sum mode accumulates in the oracle's round
 order with ``-ffp-contract=off`` (no FMA contraction), so every
-variant returns the same bits.
+variant returns the same bits. No kernel keeps global mutable state,
+and ``ctypes`` releases the GIL for the call, so threads may run them
+concurrently.
 
 No third-party dependency is introduced: only ``ctypes`` + the
 toolchain already present on the host (gated, with fallback).
@@ -49,13 +64,16 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-#: set to "1" to force the pure-numpy descent
+#: set to "1" to force the pure-numpy paths
 ENV_DISABLE = "REPRO_NO_CKERNEL"
 #: override the directory holding compiled kernels
 ENV_CACHE = "REPRO_KERNEL_CACHE"
 
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* One node: split threshold, branchless child base (left child id for
  * internal nodes, own id for leaves), gather feature (clamped to 0 at
@@ -222,6 +240,171 @@ void repro_table_lookup(
         out[q] = (ok & (cid >= 0)) ? cid : -1;
     }
 }
+
+/* ---- exact-greedy tree growing (repro.ml.tree.GradTree) ----------- */
+
+/* numpy's float64 pairwise summation over a[idx[0..n)]: plain loop
+ * below 8 items, 8 interleaved accumulators up to 128, otherwise a
+ * recursive halving that keeps the first half a multiple of 8. */
+static double pairwise_sum(const double *a, const int32_t *idx, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.;
+        for (int64_t i = 0; i < n; ++i) res += a[idx[i]];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int k = 0; k < 8; ++k) r[k] = a[idx[k]];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int k = 0; k < 8; ++k) r[k] += a[idx[i + k]];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i) res += a[idx[i]];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, idx, n2) + pairwise_sum(a, idx + n2, n - n2);
+}
+
+/* ``a[idx].sum()`` bit for bit: the reduction starts from the identity
+ * (0.0) and adds one pairwise block. */
+double repro_node_sum(const double *a, const int32_t *idx, int64_t n)
+{
+    return 0.0 + pairwise_sum(a, idx, n);
+}
+
+/* A node waiting to be grown: its id and its segment [lo, hi) of every
+ * row list. */
+typedef struct { int64_t id, lo, hi, depth; } Pending;
+
+/* Grow one tree with XGBoost's exact greedy algorithm, reproducing
+ * GradTree._build (the numpy oracle) bit for bit.
+ *
+ * Row lists: lists[0] holds each node's rows in ascending id order (the
+ * oracle's ``idx``), lists[1 + f] the same rows in ascending order of
+ * feature f. ``presorted`` seeds list 1 + f with a stable argsort of
+ * column f; a stable filter of that global order to a node's rows is
+ * exactly the node's own stable argsort, so a split only has to
+ * stable-partition every list into its two children — nothing is
+ * sorted per node, and each level costs O(n * d).
+ *
+ * Float order follows the oracle: node G/H via repro_node_sum over
+ * lists[0], prefix sums sequential in sorted order, gains evaluated in
+ * numpy's expression order, argmax with numpy's first-max / first-NaN
+ * rule, and features compared with a strict ``>``.
+ *
+ * Nodes are numbered as FlatTree.from_node allocates them (a pending
+ * stack, children allocated back to back when their parent is popped),
+ * so the outputs are the FlatTree arrays. row_value[r] receives the
+ * leaf value of training row r. Returns the node count, -1 when the
+ * capacity is exceeded or -2 when a workspace allocation fails. All
+ * state lives on the stack or in per-call allocations. */
+int64_t repro_grow_tree(
+    const double *Xt, const int32_t *presorted, int64_t n, int64_t d,
+    const double *grad, const double *hess,
+    int64_t max_depth, int64_t min_samples_leaf,
+    double min_child_weight, double reg_lambda, double gamma,
+    int64_t capacity,
+    int32_t *feature, double *threshold, int32_t *left, int32_t *right,
+    double *value, double *row_value, int64_t *depth_out)
+{
+    int32_t *lists = malloc((size_t)((d + 1) * n) * sizeof(int32_t));
+    int32_t *spill = malloc((size_t)n * sizeof(int32_t));
+    unsigned char *goes_left = malloc((size_t)n);
+    Pending *stack = malloc((size_t)capacity * sizeof(Pending));
+    int64_t count = -2;
+    if (!lists || !spill || !goes_left || !stack) goto done;
+    for (int64_t i = 0; i < n; ++i) lists[i] = (int32_t)i;
+    memcpy(lists + n, presorted, (size_t)(d * n) * sizeof(int32_t));
+
+    int64_t top = 0, depth = 0;
+    count = 1;
+    stack[top++] = (Pending){0, 0, n, 0};
+    while (top > 0) {
+        Pending nd = stack[--top];
+        int64_t cnt = nd.hi - nd.lo;
+        const int32_t *rows = lists + nd.lo;
+        double G = repro_node_sum(grad, rows, cnt);
+        double H = repro_node_sum(hess, rows, cnt);
+        int64_t best_f = -1;
+        double best_gain = 0.0, best_th = 0.0;
+        if (nd.depth < max_depth && cnt >= 2 * min_samples_leaf) {
+            double parent = G * G / (H + reg_lambda);
+            int64_t lo = min_samples_leaf - 1, hi = cnt - min_samples_leaf;
+            for (int64_t f = 0; f < d; ++f) {
+                const int32_t *ord = lists + (f + 1) * n + nd.lo;
+                const double *col = Xt + f * n;
+                double gl = 0.0, hl = 0.0, mp = 0.0;
+                int64_t k = -1;
+                int any_ok = 0, nan_seen = 0;
+                for (int64_t i = 0; i < hi; ++i) {
+                    int32_t r = ord[i];
+                    if (i == 0) { gl = grad[r]; hl = hess[r]; }
+                    else { gl += grad[r]; hl += hess[r]; }
+                    if (i < lo || !(col[r] < col[ord[i + 1]])) continue;
+                    double gr = G - gl, hr = H - hl, gain = -INFINITY;
+                    if ((hl >= min_child_weight) & (hr >= min_child_weight)) {
+                        any_ok = 1;
+                        gain = gl * gl / (hl + reg_lambda)
+                               + gr * gr / (hr + reg_lambda) - parent;
+                    }
+                    if (k < 0 || (!nan_seen && !(gain <= mp))) {
+                        mp = gain;
+                        k = i;
+                        nan_seen = isnan(mp);
+                    }
+                }
+                if (!any_ok || !(mp > best_gain + 2 * gamma)) continue;
+                best_gain = mp;
+                best_f = f;
+                best_th = 0.5 * (col[ord[k]] + col[ord[k + 1]]);
+            }
+        }
+        if (best_f < 0) {
+            double v = -G / (H + reg_lambda);
+            feature[nd.id] = -1;
+            threshold[nd.id] = 0.0;
+            left[nd.id] = right[nd.id] = (int32_t)nd.id;
+            value[nd.id] = v;
+            for (int64_t i = 0; i < cnt; ++i) row_value[rows[i]] = v;
+            if (nd.depth > depth) depth = nd.depth;
+            continue;
+        }
+        if (count + 2 > capacity) { count = -1; goto done; }
+        const double *col = Xt + best_f * n;
+        for (int64_t i = 0; i < cnt; ++i)
+            goes_left[rows[i]] = col[rows[i]] <= best_th;
+        int64_t n_left = 0;
+        for (int64_t l = 0; l <= d; ++l) {
+            int32_t *seg = lists + l * n + nd.lo;
+            int64_t a = 0, b = 0;
+            for (int64_t i = 0; i < cnt; ++i) {
+                int32_t r = seg[i];
+                if (goes_left[r]) seg[a++] = r; else spill[b++] = r;
+            }
+            memcpy(seg + a, spill, (size_t)b * sizeof(int32_t));
+            n_left = a;
+        }
+        feature[nd.id] = (int32_t)best_f;
+        threshold[nd.id] = best_th;
+        value[nd.id] = 0.0;
+        left[nd.id] = (int32_t)count;
+        right[nd.id] = (int32_t)(count + 1);
+        stack[top++] = (Pending){count, nd.lo, nd.lo + n_left, nd.depth + 1};
+        stack[top++] = (Pending){count + 1, nd.lo + n_left, nd.hi, nd.depth + 1};
+        count += 2;
+    }
+    *depth_out = depth;
+done:
+    free(lists);
+    free(spill);
+    free(goes_left);
+    free(stack);
+    return count;
+}
 """
 
 _lib: ctypes.CDLL | None = None
@@ -302,6 +485,18 @@ def load() -> ctypes.CDLL | None:
             vp, ctypes.c_int64, ctypes.c_int64,  # cells, nn, np
             vp,                                  # out
         ]
+        i64, f64 = ctypes.c_int64, ctypes.c_double
+        lib.repro_node_sum.restype = f64
+        lib.repro_node_sum.argtypes = [vp, vp, i64]
+        lib.repro_grow_tree.restype = i64
+        lib.repro_grow_tree.argtypes = [
+            vp, vp, i64, i64,                    # Xt, presorted, n, d
+            vp, vp,                              # grad, hess
+            i64, i64, f64, f64, f64,             # tree params
+            i64,                                 # node capacity
+            vp, vp, vp, vp, vp,                  # FlatTree arrays
+            vp, vp,                              # row_value, depth_out
+        ]
         _lib = lib
     except Exception as exc:  # pragma: no cover - environment dependent
         logger.debug("tree-kernel load failed: %s", exc)
@@ -358,6 +553,77 @@ def predict_sum(X: np.ndarray, ens, scale: float, offset: float) -> np.ndarray:
         _as_ptr(out, ctypes.c_double),
     )
     return out
+
+
+def node_sum(a: np.ndarray, idx: np.ndarray) -> float:
+    """``a[idx].sum()`` via the grower's pairwise sum (parity probe).
+
+    Caller guarantees :func:`available`, a contiguous float64 ``a`` and
+    a contiguous int32 ``idx``.
+    """
+    lib = load()
+    assert lib is not None, "native kernel not available"
+    return lib.repro_node_sum(a.ctypes.data, idx.ctypes.data, len(idx))
+
+
+def grow_tree(
+    Xt: np.ndarray,
+    presorted: np.ndarray,
+    grad: np.ndarray,
+    hess: np.ndarray,
+    params,
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, int]:
+    """Grow one exact-greedy tree natively.
+
+    ``Xt`` is the (d, n) column-major feature matrix, ``presorted`` its
+    per-column stable argsort (int32, same shape), ``params`` a
+    ``TreeParams`` with ``min_samples_leaf >= 1`` and no feature
+    subsampling. Returns the ``FlatTree`` arrays ``(feature, threshold,
+    left, right, value)``, each training row's leaf value, and the
+    tree depth. Caller guarantees :func:`available`.
+    """
+    lib = load()
+    assert lib is not None, "native kernel not available"
+    d, n = Xt.shape
+    # the C loop indexes every buffer by (d, n): check before passing
+    # raw pointers
+    for arr, dtype, shape in (
+        (Xt, np.float64, (d, n)), (presorted, np.int32, (d, n)),
+        (grad, np.float64, (n,)), (hess, np.float64, (n,)),
+    ):
+        if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous:
+            raise ValueError(
+                f"grow_tree: need a C-contiguous {np.dtype(dtype)} array of "
+                f"shape {shape}, got {arr.dtype} {arr.shape}"
+            )
+    # every level's internal nodes own disjoint sets of >= 2 rows
+    levels = max(params.max_depth, 0)
+    internal = min((1 << min(levels, 62)) - 1, levels * (n // 2))
+    capacity = 2 * internal + 1
+    feature = np.empty(capacity, dtype=np.int32)
+    threshold = np.empty(capacity, dtype=np.float64)
+    left = np.empty(capacity, dtype=np.int32)
+    right = np.empty(capacity, dtype=np.int32)
+    value = np.empty(capacity, dtype=np.float64)
+    row_value = np.empty(n, dtype=np.float64)
+    depth = ctypes.c_int64(0)
+    count = lib.repro_grow_tree(
+        Xt.ctypes.data, presorted.ctypes.data, n, d,
+        grad.ctypes.data, hess.ctypes.data,
+        params.max_depth, params.min_samples_leaf,
+        params.min_child_weight, params.reg_lambda, params.gamma,
+        capacity,
+        feature.ctypes.data, threshold.ctypes.data,
+        left.ctypes.data, right.ctypes.data, value.ctypes.data,
+        row_value.ctypes.data, ctypes.addressof(depth),
+    )
+    if count < 0:
+        raise RuntimeError(f"native tree grower failed (status {count})")
+    # copies: a capacity-sized buffer can dwarf the grown tree
+    arrays = tuple(
+        a[:count].copy() for a in (feature, threshold, left, right, value)
+    )
+    return arrays, row_value, depth.value
 
 
 def table_fixed_args(

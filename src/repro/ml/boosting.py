@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.ml.base import Regressor
 from repro.ml.kernels import FlatEnsemble
-from repro.ml.tree import GradTree, TreeParams
+from repro.ml.tree import GradTree, TreeParams, presort_columns
 from repro.utils.rng import SeedLike, as_generator
 
 _OBJECTIVES = ("tweedie", "gamma", "squared")
@@ -129,6 +129,7 @@ class GradientBoostingRegressor(Regressor):
         self._trees = []
         self.train_losses_ = []
         n = len(y)
+        presorted = presort_columns(X)  # X is fixed across all rounds
         for _ in range(self.n_rounds):
             grad, hess = self._grad_hess(y, score)
             if self.subsample < 1.0:
@@ -139,8 +140,7 @@ class GradientBoostingRegressor(Regressor):
                 grad = np.where(keep, grad, 0.0)
                 hess = np.where(keep, hess, 0.0)
             tree = GradTree(self._params, rng=self._rng)
-            tree.fit(X, grad, hess)
-            update = tree.predict(X)
+            update = tree.fit_predict(X, grad, hess, presorted)
             score = score + self.eta * update
             self._trees.append(tree)
             self.train_losses_.append(self._loss(y, score))
@@ -154,9 +154,7 @@ class GradientBoostingRegressor(Regressor):
         """All rounds compiled into one flat node pool (lazy, cached)."""
         self._check_fitted()
         if self._flat is None:
-            self._flat = FlatEnsemble.from_roots(
-                [t._root for t in self._trees]  # noqa: SLF001 - same module family
-            )
+            self._flat = FlatEnsemble.from_trees([t.flat for t in self._trees])
         return self._flat
 
     def _link(self, score: np.ndarray) -> np.ndarray:

@@ -71,8 +71,8 @@ class RandomForestRegressor(Regressor):
         """All member trees compiled into one node pool (lazy, cached)."""
         self._check_fitted()
         if self._flat is None:
-            self._flat = FlatEnsemble.from_roots(
-                [t._tree._root for t in self._trees]  # noqa: SLF001
+            self._flat = FlatEnsemble.from_trees(
+                [t._tree.flat for t in self._trees]  # noqa: SLF001
             )
         return self._flat
 

@@ -19,7 +19,8 @@ place). No masks, no Python recursion, no per-row work.
 
 Two layouts are provided:
 
-* :class:`FlatTree` — one tree (used per boosting round during fit),
+* :class:`FlatTree` — one tree (the native grower writes these arrays
+  directly; numpy-grown trees are flattened from ``_Node`` objects),
 * :class:`FlatEnsemble` — *all* trees of a booster or forest stacked
   into one node pool with a ``roots`` vector; ``predict_all`` descends
   every (row, tree) pair simultaneously, so a 200-round booster costs
@@ -244,35 +245,24 @@ class FlatEnsemble(_StepArraysMixin):
 
     @staticmethod
     def from_roots(root_nodes: Sequence["_Node"]) -> "FlatEnsemble":
-        if not root_nodes:
+        return FlatEnsemble.from_trees([FlatTree.from_node(r) for r in root_nodes])
+
+    @staticmethod
+    def from_trees(trees: Sequence[FlatTree]) -> "FlatEnsemble":
+        """Stack compiled trees into one pool, shifting child ids."""
+        if not trees:
             raise ValueError("cannot compile an empty ensemble")
-        parts = [_flatten(root) for root in root_nodes]
-        roots = []
-        offset = 0
-        shifted: list[tuple[np.ndarray, ...]] = []
-        for feature, threshold, left, right, value in parts:
-            roots.append(offset)
-            shifted.append(
-                (feature, threshold, left + offset, right + offset, value)
-            )
-            offset += len(feature)
-        feature = np.concatenate([p[0] for p in shifted])
-        threshold = np.concatenate([p[1] for p in shifted])
-        left = np.concatenate([p[2] for p in shifted])
-        right = np.concatenate([p[3] for p in shifted])
-        value = np.concatenate([p[4] for p in shifted])
-        depth = max(
-            _tree_depth(p[0], p[2] - r, p[3] - r)
-            for p, r in zip(shifted, roots, strict=True)
-        )
+        sizes = np.asarray([t.num_nodes for t in trees], dtype=np.int32)
+        roots = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.int32)
+        offsets = np.repeat(roots, sizes)
         return FlatEnsemble(
-            feature=feature,
-            threshold=threshold,
-            left=left,
-            right=right,
-            value=value,
-            roots=np.asarray(roots, dtype=np.int32),
-            depth=depth,
+            feature=np.concatenate([t.feature for t in trees]),
+            threshold=np.concatenate([t.threshold for t in trees]),
+            left=np.concatenate([t.left for t in trees]) + offsets,
+            right=np.concatenate([t.right for t in trees]) + offsets,
+            value=np.concatenate([t.value for t in trees]),
+            roots=roots,
+            depth=max(t.depth for t in trees),
         )
 
     @property

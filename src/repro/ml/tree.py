@@ -9,6 +9,12 @@ One tree implementation serves two masters:
 * a **plain regression tree** (and hence the random forest) is the
   special case ``g = -y, h = 1, lambda = 0``: leaf weights become leaf
   means and the gain reduces to the classic SSE reduction.
+
+Trees grow in the native C grower (``repro_grow_tree`` in
+:mod:`repro.ml._ckernel`) whenever the kernel loads and no feature
+subsampling is asked for. It scans presorted columns and writes the
+flat arrays directly. :meth:`GradTree._build` is the numpy oracle it
+matches bit for bit, and the fallback.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ml import _ckernel
 from repro.ml.base import Regressor
 from repro.ml.kernels import FlatTree
 from repro.utils.rng import SeedLike, as_generator
@@ -46,27 +53,114 @@ class TreeParams:
     max_features: int | None = None
 
 
+def presort_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Xt, order)`` for the native grower: the (d, n) column-major
+    copy of ``X`` and each column's stable argsort (int32)."""
+    Xt = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    return Xt, np.argsort(Xt, axis=1, kind="stable").astype(np.int32)
+
+
+def _grows_natively(params: TreeParams, n_features: int) -> bool:
+    """Whether the native grower can stand in for ``_build``.
+
+    Feature subsampling draws from the tree's RNG at every node, a
+    stream the C grower does not reproduce, and with ``min_samples_leaf
+    < 1`` the oracle's scan wraps around to the last sorted value, which
+    the native scan does not mimic.
+    """
+    return (
+        _ckernel.available()
+        and params.min_samples_leaf >= 1
+        and (params.max_features is None or params.max_features >= n_features)
+    )
+
+
+def _node_from_flat(flat: FlatTree) -> _Node:
+    """Rebuild ``_Node`` objects from flat arrays (inverse of
+    ``FlatTree.from_node``)."""
+    nodes = [
+        _Node(feature=f, threshold=t, value=v)
+        for f, t, v in zip(
+            flat.feature.tolist(), flat.threshold.tolist(), flat.value.tolist(),
+            strict=True,
+        )
+    ]
+    children = zip(flat.left.tolist(), flat.right.tolist(), strict=True)
+    for node, (lo, hi) in zip(nodes, children, strict=True):
+        if node.feature >= 0:
+            node.left, node.right = nodes[lo], nodes[hi]
+    return nodes[0]
+
+
 class GradTree:
     """A single tree fitted to (gradient, hessian) statistics."""
 
     def __init__(self, params: TreeParams, rng: SeedLike = None) -> None:
         self.params = params
         self._rng = as_generator(rng)
-        self._root: _Node | None = None
+        self._node: _Node | None = None
         self._flat: FlatTree | None = None
+
+    @property
+    def _root(self) -> _Node | None:
+        """The fitted tree as ``_Node`` objects (``None`` before fit).
+
+        The numpy path grows it directly; after a native fit it is
+        rebuilt from the flat arrays the first time it is asked for.
+        """
+        if self._node is None and self._flat is not None:
+            self._node = _node_from_flat(self._flat)
+        return self._node
 
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> "GradTree":
+        self._grow(X, grad, hess, presorted=None)
+        return self
+
+    def fit_predict(
+        self,
+        X: np.ndarray,
+        grad: np.ndarray,
+        hess: np.ndarray,
+        presorted: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Fit, then return ``predict(X)`` for the training rows.
+
+        ``presorted`` is :func:`presort_columns` of ``X``; a booster
+        passes the same one to every round, because ``X`` never changes
+        between rounds. The native grower reports each row's leaf as it
+        partitions, so no descent runs.
+        """
+        rows = self._grow(X, grad, hess, presorted)
+        return rows if rows is not None else self.predict(X)
+
+    def _grow(
+        self,
+        X: np.ndarray,
+        grad: np.ndarray,
+        hess: np.ndarray,
+        presorted: tuple[np.ndarray, np.ndarray] | None,
+    ) -> np.ndarray | None:
+        """Grow natively when possible (returning the training rows'
+        leaf values), else with the numpy oracle :meth:`_build`."""
         X = np.asarray(X, dtype=float)
-        grad = np.asarray(grad, dtype=float)
-        hess = np.asarray(hess, dtype=float)
+        grad = np.ascontiguousarray(grad, dtype=float)
+        hess = np.ascontiguousarray(hess, dtype=float)
         if len(X) == 0:
             raise ValueError("cannot fit a tree on zero samples")
+        if _grows_natively(self.params, X.shape[1]):
+            Xt, order = presorted if presorted is not None else presort_columns(X)
+            arrays, rows, depth = _ckernel.grow_tree(
+                Xt, order, grad, hess, self.params
+            )
+            self._node = None  # rebuilt from the flat arrays on demand
+            self._flat = FlatTree(*arrays, depth=depth)
+            return rows
         self._X, self._grad, self._hess = X, grad, hess
-        self._root = self._build(np.arange(len(X)), depth=0)
+        self._node = self._build(np.arange(len(X)), depth=0)
         del self._X, self._grad, self._hess
         self._flat = None  # recompiled lazily on first predict
-        return self
+        return None
 
     def _leaf(self, idx: np.ndarray) -> _Node:
         G = self._grad[idx].sum()
@@ -134,10 +228,10 @@ class GradTree:
     @property
     def flat(self) -> FlatTree:
         """The compiled flat-array kernel (built lazily, cached)."""
-        if self._root is None:
-            raise RuntimeError("GradTree is not fitted yet")
         if self._flat is None:
-            self._flat = FlatTree.from_node(self._root)
+            if self._node is None:
+                raise RuntimeError("GradTree is not fitted yet")
+            self._flat = FlatTree.from_node(self._node)
         return self._flat
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ from typing import Mapping
 GATE_METRICS: dict[str, bool] = {
     "booster_predict_10k_s": False,
     "booster_fit_2000_s": False,
+    # numpy oracle fit / native grower fit, same process and data
+    "booster_fit_speedup_x": True,
     "campaign_samples_per_s": True,
     "fastsim_chain_eval_s": False,
     "serve_batch64_speedup_x": True,

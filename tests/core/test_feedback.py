@@ -171,7 +171,9 @@ class TestReader:
 
     @given(garbage=st.lists(
         st.text(
-            alphabet=st.characters(blacklist_characters="\n\r"), max_size=60
+            # utf-8 only: a lone surrogate cannot be written to the file
+            alphabet=st.characters(codec="utf-8", blacklist_characters="\n\r"),
+            max_size=60,
         ).filter(lambda s: not s.strip().startswith("{")),
         min_size=1, max_size=6,
     ))

@@ -117,6 +117,39 @@ class TestParallelFit:
         t_parallel = parallel.predict_times(8, 1, grid_m)
         np.testing.assert_array_equal(t_serial, t_parallel)
 
+    def test_xgboost_threads_bit_identical(self):
+        """Native tree growers running on 4 threads at once (ctypes
+        drops the GIL) build exactly the serial trees."""
+        from repro.ml.boosting import GradientBoostingRegressor
+
+        rng = np.random.default_rng(21)
+        base = crossover_dataset()
+        k = 8
+        configs = tuple(
+            AlgorithmConfig.make("bcast", i + 1, f"algo{i}") for i in range(k)
+        )
+        reps = len(base.time)
+        ds = PerfDataset(
+            name="eight", collective=base.collective, library="synthetic",
+            machine="synthetic", configs=configs,
+            config_id=np.repeat(np.arange(k), reps),
+            nodes=np.tile(base.nodes, k), ppn=np.tile(base.ppn, k),
+            msize=np.tile(base.msize, k),
+            time=np.tile(base.time, k) * np.exp(rng.normal(0, 0.3, k * reps)),
+        )
+        factory = lambda: GradientBoostingRegressor(rng=9)  # paper: 200 rounds
+        serial = AlgorithmSelector(factory).fit(ds, n_jobs=1)
+        threaded = AlgorithmSelector(factory).fit(ds, n_jobs=4)
+        assert sorted(threaded.models_) == list(range(k))
+        for cid in range(k):
+            a, b = serial.models_[cid].flat, threaded.models_[cid].flat
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        grid_m = np.array([2**j for j in range(0, 23)])
+        np.testing.assert_array_equal(
+            serial.predict_times(8, 1, grid_m), threaded.predict_times(8, 1, grid_m)
+        )
+
     def test_env_knob(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "4")
         sel = AlgorithmSelector(lambda: KNNRegressor()).fit(crossover_dataset())

@@ -21,6 +21,7 @@ from repro.obs.gate import (
 BASE = {
     "booster_predict_10k_s": 0.010,
     "booster_fit_2000_s": 2.0,
+    "booster_fit_speedup_x": 8.0,
     "campaign_samples_per_s": 4000.0,
     "fastsim_chain_eval_s": 0.0005,
     "serve_batch64_speedup_x": 8.0,
@@ -140,6 +141,24 @@ class TestCompareReports:
         baseline.write_text(json.dumps(BASE))
         current.write_text(json.dumps(BASE))
         assert gate_verdict(compare_reports(baseline, current))[0]
+
+    def test_provenance_block_ignored(self, tmp_path):
+        # bench_report writes a non-metric provenance block beside the
+        # metrics; strings, booleans and nulls there must not be graded
+        provenance = {
+            "git_sha": "0" * 40, "git_dirty": True, "python": "3.11.7",
+            "cpu_model": "Example CPU @ 2.0GHz", "cpu_count": 4,
+            "ckernel_loaded": False, "repro_jobs": None,
+        }
+        baseline, current = tmp_path / "b.json", tmp_path / "c.json"
+        baseline.write_text(json.dumps({"pr": 1, "current": BASE}))
+        current.write_text(json.dumps(
+            {"pr": 2, "provenance": provenance, "current": BASE}
+        ))
+        results = compare_reports(baseline, current)
+        assert {r.metric for r in results} == set(GATE_METRICS)
+        assert all(r.status == "ok" for r in results)
+        assert gate_verdict(results)[0]
 
     def test_latest_committed_report(self, tmp_path):
         for pr in (1, 2, 10):
