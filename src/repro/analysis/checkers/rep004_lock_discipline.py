@@ -28,7 +28,6 @@ LOCKED_ATTRS: dict[str, dict[str, str]] = {
     # repro/serve/service.py
     "PredictionService": {
         "_batchers": "_batchers_lock",
-        "_shards": "_shards_lock",
         "_tables": "_tables_lock",
     },
     # repro/serve/cache.py

@@ -167,7 +167,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             library=args.library,
             rules=tuple(args.rules or ()),
             workers=args.workers,
-            mode=args.mode,
             cache_size=args.cache_size,
             compiled=args.compiled,
             queue_depth=args.queue_depth,
@@ -237,7 +236,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         print(f"feedback log: {feedback.path}", file=sys.stderr)
     service = PredictionService(
-        registry, mode=args.mode, cache_size=args.cache_size,
+        registry, cache_size=args.cache_size,
         compiled=args.compiled, feedback=feedback,
     )
     source = open(args.requests) if args.requests else sys.stdin
@@ -496,10 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ppn", type=int, default=2,
                    help="target allocation ppn for --tune")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--mode", choices=["exact", "surface"], default="exact",
-        help="exact batched selection, or precomputed surface shards",
-    )
     p.add_argument(
         "--compiled", action=argparse.BooleanOptionalAction, default=True,
         help="serve covered instances from compiled decision tables "

@@ -26,7 +26,6 @@ from repro.core.config_gen import (
 )
 from repro.core.dataset import PerfDataset
 from repro.core.selector import AlgorithmSelector, NoModelError
-from repro.core.surface import DecisionSurface
 from repro.machine.model import MachineModel
 from repro.machine.topology import Topology
 from repro.ml import PAPER_LEARNERS
@@ -64,7 +63,6 @@ class AutoTuner:
             self._learner_factory = self.learner
         self.dataset_: PerfDataset | None = None
         self.selector_: AlgorithmSelector | None = None
-        self.surface_: DecisionSurface | None = None
         #: quarantined measurement sites of the last campaign
         self.quarantine_: list = []
         #: training-grid axes captured by train(); serves servable()
@@ -117,9 +115,8 @@ class AutoTuner:
         self.selector_ = AlgorithmSelector(self._learner_factory).fit(
             ds, n_jobs=n_jobs
         )
-        self.surface_ = None  # stale: belongs to the previous selector
-        # remember the training grid: it is the natural serving grid for
-        # surface shards built over this selector (see servable())
+        # remember the training grid: it is the natural serving grid
+        # for this selector (see servable())
         self._grid_axes = (
             tuple(int(v) for v in sorted(set(ds.nodes.tolist()))),
             tuple(int(v) for v in sorted(set(ds.ppn.tolist()))),
@@ -128,25 +125,6 @@ class AutoTuner:
         return self.selector_
 
     # ------------------------------------------------------------------
-    def build_surface(
-        self,
-        nodes: tuple[int, ...],
-        ppns: tuple[int, ...],
-        msizes: tuple[int, ...] = DEFAULT_MSIZES,
-    ) -> DecisionSurface:
-        """Precompute the argmin surface over a query grid.
-
-        One batched ensemble evaluation; afterwards
-        :meth:`recommend_fast` answers in O(1) by nearest-cell lookup
-        without ever touching the models again.
-        """
-        if self.selector_ is None:
-            raise RuntimeError("train() first")
-        self.surface_ = DecisionSurface.from_selector(
-            self.selector_, nodes, ppns, msizes
-        )
-        return self.surface_
-
     def default_config(self, nodes: int, ppn: int, msize: int) -> AlgorithmConfig:
         """The library's built-in decision logic for one instance.
 
@@ -162,9 +140,8 @@ class AutoTuner:
     def recommend(self, nodes: int, ppn: int, msize: int) -> AlgorithmConfig:
         """Predicted-fastest configuration for an (unseen) instance.
 
-        Always queries the live models (exact argmin); see
-        :meth:`recommend_fast` for the precomputed-surface path. When
-        no model covers the instance (all candidates quarantined), the
+        Always queries the live models (exact argmin). When no model
+        covers the instance (all candidates quarantined), the
         library's default decision logic answers instead — counted as
         ``tuner.fallback_default`` and reported via a
         ``tuner_fallback`` event.
@@ -178,22 +155,6 @@ class AutoTuner:
         except NoModelError:
             return self._fallback(nodes, ppn, msize, source="recommend")
 
-    def recommend_fast(
-        self, nodes: int, ppn: int, msize: int
-    ) -> AlgorithmConfig:
-        """O(1) recommendation from the precomputed decision surface.
-
-        Falls back to the library default for uncovered cells, exactly
-        like :meth:`recommend`.
-        """
-        if self.surface_ is None:
-            raise RuntimeError("build_surface() first")
-        get_telemetry().add("tuner.recommend_fast")
-        try:
-            return self.surface_.recommend(nodes, ppn, msize)
-        except NoModelError:
-            return self._fallback(nodes, ppn, msize, source="recommend_fast")
-
     def _fallback(
         self, nodes: int, ppn: int, msize: int, *, source: str
     ) -> AlgorithmConfig:
@@ -206,31 +167,22 @@ class AutoTuner:
         )
         return config
 
-    def servable(
-        self,
-        msizes: tuple[int, ...] | None = None,
-    ):
+    def servable(self):
         """Package the trained selector as a servable model.
 
         Returns a :class:`repro.serve.registry.SelectorModel` whose
-        serving grid is the training grid (``msizes`` overrides the
-        message-size axis, e.g. to densify surface shards). Publish it
-        with :meth:`repro.serve.registry.ModelRegistry.publish` to put
-        this tuner behind a
-        :class:`~repro.serve.service.PredictionService`.
+        serving grid is the training grid. Publish it with
+        :meth:`repro.serve.registry.ModelRegistry.publish` to put this
+        tuner behind a :class:`~repro.serve.service.PredictionService`.
         """
         if self.selector_ is None:
             raise RuntimeError("train() first")
         from repro.serve.registry import SelectorModel  # avoid cycle
 
-        nodes_axis, ppn_axis, msize_axis = self._grid_axes
         return SelectorModel(
             selector=self.selector_,
             collective=self.collective,
-            grid_axes=(
-                nodes_axis, ppn_axis,
-                tuple(msizes) if msizes is not None else msize_axis,
-            ),
+            grid_axes=self._grid_axes,
         )
 
     def write_rules(

@@ -3,7 +3,7 @@
 The substrate every long-running stage of the pipeline emits into —
 benchmark campaigns (:mod:`repro.bench.runner`), model training
 (:mod:`repro.core.selector`), and selection serving
-(:mod:`repro.core.tuner`, :mod:`repro.core.surface`). See
+(:mod:`repro.core.tuner`, :mod:`repro.serve`). See
 ``docs/observability.md`` for the event schema and span naming
 conventions.
 

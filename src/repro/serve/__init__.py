@@ -9,15 +9,17 @@ running while models change underneath it:
   model per collective; atomic hot-reload of tuned rule sets with
   validation **before** the swap and graceful degradation to the
   library default.
-* :class:`~repro.serve.service.PredictionService` — request
-  batching/coalescing (concurrent misses for one collective merge into
-  a single vectorised lookup), an interned-key recommendation LRU, and
-  lazily materialised per-collective decision-surface shards.
+* :class:`~repro.serve.service.PredictionService` — one fixed
+  answer ladder: compiled table (L0), interned-key recommendation LRU
+  (L1), then request batching/coalescing in front of the exact model
+  (concurrent misses for one collective merge into a single vectorised
+  lookup), then the library default.
 * :mod:`repro.serve.rules` — Open MPI dynamic rules files as servable
   models, parsed and re-rendered byte-stably.
-* :mod:`repro.serve.compiled` — the decision-table compiler: live
-  models lowered into flat branchless lookup tables, the opt-in L0
-  tier that answers covered instances in one array index.
+* :mod:`repro.serve.compiled` — the decision-table compiler: rules
+  tables and fitted selectors lowered into flat branchless lookup
+  tables, the opt-in L0 tier that answers covered instances in one
+  array index.
 * :mod:`repro.serve.loop` — the stdin/JSONL request loop behind
   ``mpicollpred serve``.
 
@@ -30,8 +32,8 @@ from repro.serve.chaos import ChaosEvent, FleetChaosPlan, build_plan
 from repro.serve.compiled import (
     CompiledTable,
     compile_rules_model,
+    compile_selector,
     compile_servable,
-    compile_surface,
 )
 from repro.serve.loop import handle_request, serve_lines
 from repro.serve.exporter import render_prometheus, sanitize_metric_name
@@ -86,8 +88,8 @@ __all__ = [
     "WorkerError",
     "build_plan",
     "compile_rules_model",
+    "compile_selector",
     "compile_servable",
-    "compile_surface",
     "config_rule_key",
     "handle_request",
     "render_prometheus",

@@ -8,7 +8,7 @@ LRU over fully-resolved recommendations, keyed by the interned
 same telemetry stream as everything else.
 
 Keys are *interned*: one canonical tuple object per distinct instance,
-shared between the cache, in-flight batches and any shard indexes. A
+shared between the cache and in-flight batches. A
 serving workload hammers a small working set of instances millions of
 times — re-allocating the key tuple per request is pure garbage
 pressure, and identity-equal keys make dict probes cheaper.

@@ -34,13 +34,14 @@ lowering is provably bit-identical to the interpreted model:
   including) the first rule boundary strictly inside it — full-bucket
   coverage when rule msizes are powers of two, a partial prefix
   otherwise;
-* a selector's :class:`~repro.core.surface.DecisionSurface` is exact
-  only at real grid points, so admission is pinned to the grid msize
-  itself (``lo == hi``) and buckets shared by several grid msizes are
-  dropped.
+* a selector is lowered from one batched ``predict_times`` sweep over
+  its serving grid (:func:`compile_selector`); each grid cell's argmin
+  came from a real prediction row for that very instance, so admission
+  is pinned to the grid msize itself (``lo == hi``) and buckets shared
+  by several grid msizes are dropped.
 
 Everything else returns ``-1`` and the serving layer falls through to
-the interpreted surface/selector/fallback chain, which is what keeps
+the LRU and the exact selector/fallback chain, which is what keeps
 `PredictionService`'s bit-identity contract intact.
 """
 
@@ -51,9 +52,10 @@ from bisect import bisect_right
 import numpy as np
 
 from repro.collectives.base import AlgorithmConfig, CollectiveKind
-from repro.core.surface import DecisionSurface
 from repro.ml import _ckernel
 from repro.ml.kernels import table_lookup_numpy
+from repro.obs import get_telemetry
+from repro.serve.registry import SelectorModel
 from repro.serve.rules import RulesModel
 
 _INT64_MAX = (1 << 63) - 1
@@ -222,27 +224,48 @@ def _dense_index(axis: np.ndarray) -> np.ndarray:
     return index
 
 
-def compile_surface(
-    surface: DecisionSurface, collective: CollectiveKind, version: int
-) -> CompiledTable:
-    """Lower a materialised decision surface into a :class:`CompiledTable`.
+def compile_selector(model: SelectorModel, version: int) -> CompiledTable:
+    """Lower a fitted selector into a :class:`CompiledTable`.
 
-    Only exact grid points are admitted (``lo == hi`` per bucket): an
-    exact cell's argmin came from a real ``predict_times`` row for that
-    instance, so serving it is bit-identical to the cold selector;
-    nearest-cell snapping stays the business of the interpreted
-    surface mode. A bucket shared by several grid msizes is dropped —
-    one admission range cannot pin two exact points.
+    One batched ``predict_times`` call scores the full ``grid_axes``
+    mesh. Only exact grid points are admitted (``lo == hi`` per
+    bucket), and a bucket shared by several grid msizes is dropped —
+    one admission range cannot pin two exact points. Cells where every
+    configuration predicts ``+inf`` (all candidates quarantined) stay
+    ``-1``, so the exact path answers them with the library default.
     """
+    nodes_axis, ppn_axis, msize_axis = (
+        np.unique(np.asarray(axis, dtype=np.int64))
+        for axis in model.grid_axes
+    )
+    if min(len(nodes_axis), len(ppn_axis), len(msize_axis)) == 0:
+        raise ValueError("all three grid axes must be non-empty")
+    grid_n, grid_p, grid_m = np.meshgrid(
+        nodes_axis, ppn_axis, msize_axis, indexing="ij"
+    )
+    selector = model.selector
+    telemetry = get_telemetry()
+    with telemetry.span(
+        "surface/build", cells=int(grid_n.size),
+        configs=len(selector.configs_),
+    ):
+        times = selector.predict_times(
+            grid_n.ravel(), grid_p.ravel(), grid_m.ravel()
+        )
+    best = np.argmin(times, axis=1)
+    covered = np.isfinite(times).any(axis=1)
+    if not covered.all():
+        best = np.where(covered, best, -1)
+        telemetry.add("surface.uncovered_cells", int((~covered).sum()))
+    best_cid = best.reshape(grid_n.shape)
+
     lo = np.ones(_N_BUCKETS, dtype=np.int64)
     hi = np.zeros(_N_BUCKETS, dtype=np.int64)
     cells = np.full(
-        (_N_BUCKETS, len(surface.nodes_axis), len(surface.ppn_axis)),
-        -1,
-        dtype=np.int32,
+        (_N_BUCKETS, len(nodes_axis), len(ppn_axis)), -1, dtype=np.int32
     )
     buckets: dict[int, list[int]] = {}
-    for k, m in enumerate(surface.msize_axis.tolist()):
+    for k, m in enumerate(msize_axis.tolist()):
         bucket = m.bit_length() if m > 0 else 0
         buckets.setdefault(bucket, []).append(k)
     dropped = 0
@@ -251,14 +274,14 @@ def compile_surface(
             dropped += 1
             continue
         k = positions[0]
-        lo[bucket] = hi[bucket] = int(surface.msize_axis[k])
-        cells[bucket] = surface.best_cid[:, :, k]
+        lo[bucket] = hi[bucket] = int(msize_axis[k])
+        cells[bucket] = best_cid[:, :, k]
     return CompiledTable(
-        collective=collective,
+        collective=model.collective,
         version=version,
-        configs=surface.configs,
-        node_index=_dense_index(surface.nodes_axis),
-        ppn_index=_dense_index(surface.ppn_axis),
+        configs=selector.configs_,
+        node_index=_dense_index(nodes_axis),
+        ppn_index=_dense_index(ppn_axis),
         msize_lo=lo,
         msize_hi=hi,
         cells=cells,
@@ -269,26 +292,21 @@ def compile_surface(
 def compile_servable(model, version: int) -> CompiledTable | None:
     """Lower any servable with an exact table form; ``None`` = skip tier.
 
-    Rules models lower directly; selector-backed models lower through
-    their materialised surface (one batched ``predict_times`` sweep).
-    Anything else — wrappers, test doubles, custom servables — has no
-    provably-identical flat form, so the compiled tier stays out of
-    the way and every request falls through to the interpreted path.
+    Rules models and selector models lower directly. Anything else —
+    wrappers, test doubles, custom servables — has no provably-identical
+    flat form, so the compiled tier stays out of the way and every
+    request falls through to the interpreted path.
     """
     if isinstance(model, RulesModel):
         return compile_rules_model(model, version)
-    build = getattr(model, "build_surface", None)
-    if build is None:
-        return None
-    surface = build()
-    if not isinstance(surface, DecisionSurface):
-        return None
-    return compile_surface(surface, model.collective, version)
+    if isinstance(model, SelectorModel):
+        return compile_selector(model, version)
+    return None
 
 
 __all__ = [
     "CompiledTable",
     "compile_rules_model",
+    "compile_selector",
     "compile_servable",
-    "compile_surface",
 ]

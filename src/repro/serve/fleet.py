@@ -5,14 +5,15 @@
 fleet:
 
 * **N worker processes** (:mod:`repro.serve.worker`), each holding its
-  own registry + service (compiled L0 tables and L1 LRU intact),
-  spawned as subprocesses and spoken to over stdio JSONL with
-  pipelined, ``rid``-matched requests.
+  own registry (loaded from rules files) + service (compiled L0 tables
+  and L1 LRU intact), spawned as subprocesses and spoken to over stdio
+  JSONL with pipelined, ``rid``-matched requests.
 * **Consistent-hash routing** on ``(collective, nodes, ppn)``
   (:class:`HashRing`): the same allocation always lands on the same
-  worker, so each worker's caches and surface shards stay hot instead
-  of every worker cold-missing the whole key space. ``recommend_many``
-  batches split into per-worker sub-batches that run concurrently.
+  worker, so each worker's compiled tables and L1 cache stay hot
+  instead of every worker cold-missing the whole key space.
+  ``recommend_many`` batches split into per-worker sub-batches that run
+  concurrently.
 * **Self-healing** (:class:`FleetSupervisor`): a dead worker (pipe
   EOF, response-pipe overflow, call timeout, process exit) is
   respawned with exponential backoff and **warm-restored** — every
@@ -163,7 +164,6 @@ class FleetSpec:
     library: str = "Open MPI"
     rules: tuple[str, ...] = ()
     workers: int = 2
-    mode: str = "exact"
     cache_size: int = 4096
     compiled: bool = True
     #: per-worker in-flight high-water mark; beyond it requests are
@@ -198,7 +198,6 @@ class FleetSpec:
             "machine": self.machine,
             "library": self.library,
             "rules": list(self.rules),
-            "mode": self.mode,
             "cache_size": self.cache_size,
             "compiled": self.compiled,
             "chaos_ops": self.chaos_ops,

@@ -13,8 +13,11 @@ Request lines (JSON objects, one per line)::
 
 Responses mirror requests one-for-one (same order), always carry
 ``"ok"``, and echo a request's ``"id"`` field when present. Malformed
-input answers ``{"ok": false, "error": ...}`` and the loop keeps
-serving — a bad client line must not take the service down.
+input — including an instance whose ``nodes``/``ppn`` is not an
+integer ``>= 1`` or whose ``msize`` is not an integer ``>= 0`` —
+answers ``{"ok": false, "error": ...}`` and the loop keeps serving — a
+bad client line must not take the service down. Fleet workers answer
+through the same :func:`handle_request`, so the check holds there too.
 """
 
 from __future__ import annotations
@@ -27,19 +30,41 @@ from repro.serve.service import PredictionService
 from repro.utils.units import parse_bytes
 
 
+def _count(name: str, value, minimum: int) -> int:
+    """An integral instance field ``>= minimum``; anything else is an error.
+
+    Bools and non-integral numbers are rejected rather than coerced, so
+    ``"nodes": 0`` or ``"msize": 64.9`` can never reach a model.
+    """
+    if type(value) is not int:  # exact check: bool is an int subclass
+        if isinstance(value, str):
+            try:
+                value = parse_bytes(value) if name == "msize" else int(value)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        elif isinstance(value, float) and value.is_integer():
+            value = int(value)
+        else:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 def _parse_instance(payload: dict) -> tuple[str, int, int, int]:
     try:
         collective = payload["collective"]
-        nodes = int(payload["nodes"])
-        ppn = int(payload["ppn"])
-        msize = payload["msize"]
-    except (KeyError, TypeError, ValueError) as exc:
+        nodes, ppn, msize = payload["nodes"], payload["ppn"], payload["msize"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(
             "instance needs collective, nodes, ppn, msize"
         ) from exc
-    if isinstance(msize, str):
-        msize = parse_bytes(msize)
-    return collective, nodes, ppn, int(msize)
+    return (
+        collective,
+        _count("nodes", nodes, 1),
+        _count("ppn", ppn, 1),
+        _count("msize", msize, 0),
+    )
 
 
 def handle_request(service: PredictionService, payload: dict) -> dict:

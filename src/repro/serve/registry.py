@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.collectives.base import AlgorithmConfig, CollectiveKind
 from repro.core.selector import AlgorithmSelector
-from repro.core.surface import DecisionSurface
 from repro.machine.model import MachineModel
 from repro.machine.topology import Topology
 from repro.mpilib.base import MPILibrary
@@ -65,9 +64,9 @@ class SelectorModel:
     """A fitted :class:`~repro.core.selector.AlgorithmSelector` as a servable.
 
     ``grid_axes`` records the serving grid (normally the training
-    grid): the surface shards of
-    :class:`~repro.serve.service.PredictionService` materialise the
-    selector's argmin over exactly these axes.
+    grid): :func:`repro.serve.compiled.compile_selector` lowers the
+    selector's argmin over exactly these axes into the compiled L0
+    table of :class:`~repro.serve.service.PredictionService`.
     """
 
     selector: AlgorithmSelector
@@ -78,13 +77,6 @@ class SelectorModel:
         self, nodes: np.ndarray, ppn: np.ndarray, msize: np.ndarray
     ) -> list[AlgorithmConfig | None]:
         return self.selector.select_many(nodes, ppn, msize)
-
-    def build_surface(self) -> DecisionSurface:
-        """Materialise the argmin shard over the serving grid (one batch)."""
-        nodes, ppns, msizes = self.grid_axes
-        return DecisionSurface.from_selector(
-            self.selector, nodes, ppns, msizes
-        )
 
     def describe(self) -> str:
         nodes, ppns, msizes = self.grid_axes
@@ -314,7 +306,8 @@ class ModelRegistry:
         interpreted lookup here — a mis-lowered table is rejected at
         publish time instead of serving wrong configs sub-microsecond
         fast. Selector-backed models skip this: their lowering needs a
-        full surface sweep and is pinned by the property suite instead.
+        full ``predict_times`` sweep and is pinned by the property suite
+        instead.
         """
         from repro.serve.compiled import compile_servable  # cycle guard
 

@@ -2,7 +2,7 @@
 
 :class:`PredictionService` is the request path in front of a
 :class:`~repro.serve.registry.ModelRegistry`. A ``recommend`` call
-walks up to four levels:
+walks one fixed ladder:
 
 0. **L0 — compiled decision tables** (opt-in, ``compiled=True``):
    per live ``(collective, version)`` a
@@ -22,27 +22,22 @@ walks up to four levels:
    without touching any model; a version mismatch after a hot-reload is
    treated as a miss, so a completed swap can never serve stale
    answers.
-2. **L2 — surface shards** (``mode="surface"``): per
-   ``(collective, version)`` a lazily materialised
-   :class:`~repro.core.surface.DecisionSurface` over the model's
-   serving grid — built once with a single batched
-   ``predict_times`` sweep, then answering by O(1) nearest-cell
-   lookup. Stale shards are pruned when their version is unseated.
-3. **The model itself** (``mode="exact"``): concurrent misses for the
-   same collective are *coalesced* — the first caller becomes the
-   batch leader, drains everything queued for that collective, and
-   issues **one** vectorised ``select_configs`` call; followers block
-   on their own slot and receive per-caller-correct results. Exact
-   mode is bit-identical to a cold
+2. **Exact — the model itself**: concurrent misses for the same
+   collective are *coalesced* — the first caller becomes the batch
+   leader, drains everything queued for that collective, and issues
+   **one** vectorised ``select_configs`` call; followers block on
+   their own slot and receive per-caller-correct results. The answer
+   is bit-identical to a cold
    :meth:`repro.core.tuner.AutoTuner.recommend` (the property tests
-   pin this), including the fallback: instances no model covers get
-   the library's default decision logic.
+   pin this).
+3. **Library default**: instances no live model covers get the
+   library's built-in decision logic.
 
 Every level feeds :mod:`repro.obs` counters (``serve.requests``,
 ``serve.compiled.hit/fallthrough``, ``serve.l1.hits/misses``,
-``serve.batches``, ``serve.coalesced``, ``serve.fallback_default``,
-``serve.surface.builds``), so a live service is observable through the
-same telemetry stream as the campaign and training layers.
+``serve.batches``, ``serve.coalesced``, ``serve.fallback_default``),
+so a live service is observable through the same telemetry stream as
+the campaign and training layers.
 """
 
 from __future__ import annotations
@@ -57,11 +52,7 @@ from repro.collectives.base import AlgorithmConfig, CollectiveKind
 from repro.obs import get_telemetry
 from repro.serve.cache import InstanceKey, KeyInterner, LRUCache
 from repro.serve.compiled import compile_servable
-from repro.serve.registry import (
-    ModelRegistry,
-    ModelVersion,
-    SelectorModel,
-)
+from repro.serve.registry import ModelRegistry, ModelVersion
 
 #: memoised CollectiveKind coercion — the enum constructor costs more
 #: than a whole compiled-table lookup, and only valid names are cached
@@ -118,10 +109,7 @@ class _CompiledEntry:
     ``table is None`` marks an *uncompilable* version (wrappers, test
     doubles, failed lowerings): the tier steps aside for it without
     retrying the build on every request. ``template`` is the prototype
-    ``Recommendation.__dict__`` — covered answers are materialised by
-    copying it and filling the four per-instance slots, which skips the
-    frozen-dataclass ``__init__`` (one ``object.__setattr__`` per
-    field) on the hottest path in the service.
+    ``Recommendation.__dict__`` that :meth:`answer` copies.
     """
 
     __slots__ = ("version", "table", "template")
@@ -130,6 +118,25 @@ class _CompiledEntry:
         self.version = version
         self.table = table
         self.template = template
+
+    def answer(
+        self, nodes: int, ppn: int, msize: int, cid: int
+    ) -> Recommendation:
+        """Materialise a covered answer for config id ``cid``.
+
+        Copies the template and fills the four per-instance slots, which
+        skips the frozen-dataclass ``__init__`` (one
+        ``object.__setattr__`` per field) on the hottest path in the
+        service.
+        """
+        rec = object.__new__(Recommendation)
+        ns = rec.__dict__
+        ns.update(self.template)
+        ns["nodes"] = nodes
+        ns["ppn"] = ppn
+        ns["msize"] = msize
+        ns["config"] = self.table.configs[cid]
+        return rec
 
 
 class _Slot:
@@ -207,15 +214,11 @@ class PredictionService:
         self,
         registry: ModelRegistry,
         *,
-        mode: str = "exact",
         cache_size: int = 4096,
         compiled: bool = False,
         feedback=None,
     ) -> None:
-        if mode not in ("exact", "surface"):
-            raise ValueError(f"mode must be 'exact' or 'surface', not {mode!r}")
         self.registry = registry
-        self.mode = mode
         self.compiled = compiled
         #: optional FeedbackLogger — measures + logs every served
         #: recommendation (the closed loop's measure step); never on
@@ -225,9 +228,6 @@ class PredictionService:
         self._l1 = LRUCache(cache_size, namespace="serve.l1")
         self._batchers: dict[CollectiveKind, _Batcher] = {}
         self._batchers_lock = threading.Lock()
-        #: (collective, version) -> DecisionSurface, built lazily
-        self._shards: dict = {}
-        self._shards_lock = threading.Lock()
         #: collective -> _CompiledEntry for the last-seen version (L0)
         self._tables: dict[CollectiveKind, _CompiledEntry] = {}
         self._tables_lock = threading.Lock()
@@ -300,7 +300,6 @@ class PredictionService:
         """Cache + version snapshot (what ``{"op": "stats"}`` returns)."""
         counters = get_telemetry().counters_snapshot()
         return {
-            "mode": self.mode,
             "compiled": {
                 "enabled": self.compiled,
                 "hits": counters.get("serve.compiled.hit", 0),
@@ -353,14 +352,7 @@ class PredictionService:
         cid = entry.table.lookup(nodes, ppn, msize)
         if cid < 0:
             return None
-        rec = object.__new__(Recommendation)
-        ns = rec.__dict__
-        ns.update(entry.template)
-        ns["nodes"] = nodes
-        ns["ppn"] = ppn
-        ns["msize"] = msize
-        ns["config"] = entry.table.configs[cid]
-        return rec
+        return entry.answer(nodes, ppn, msize, cid)
 
     def _compiled_lookup_many(
         self,
@@ -390,20 +382,11 @@ class PredictionService:
                 # beyond-int64 msize: the interpreted path owns it
                 continue
             cids = entry.table.lookup_many(nodes, ppn, msize)
-            template = entry.template
-            configs = entry.table.configs
             for pos, cid in zip(positions, cids.tolist(), strict=True):
                 if cid < 0:
                     continue
                 inst = instances[pos]
-                rec = object.__new__(Recommendation)
-                ns = rec.__dict__
-                ns.update(template)
-                ns["nodes"] = inst[1]
-                ns["ppn"] = inst[2]
-                ns["msize"] = inst[3]
-                ns["config"] = configs[cid]
-                results[pos] = rec
+                results[pos] = entry.answer(inst[1], inst[2], inst[3], cid)
                 hits += 1
         telemetry = get_telemetry()
         if hits:
@@ -480,17 +463,10 @@ class PredictionService:
         msize = np.asarray([k[3] for k in keys], dtype=np.int64)
         with telemetry.span(
             "serve/batch", absolute=True, collective=str(collective),
-            size=len(keys), mode=self.mode,
-            version=mv.version if mv else 0,
+            size=len(keys), version=mv.version if mv else 0,
         ):
             if mv is None:
                 configs: list[AlgorithmConfig | None] = [None] * len(keys)
-            elif self.mode == "surface" and isinstance(mv.model, SelectorModel):
-                shard = self._shard(collective, mv)
-                ids = shard.select_ids(nodes, ppn, msize)
-                configs = [
-                    shard.configs[int(i)] if i >= 0 else None for i in ids
-                ]
             else:
                 configs = mv.model.select_configs(nodes, ppn, msize)
         version = mv.version if mv is not None else 0
@@ -511,32 +487,6 @@ class PredictionService:
             self._l1.put(key, rec)
             results.append(rec)
         return results
-
-    def _shard(self, collective: CollectiveKind, mv: ModelVersion):
-        """The lazily-built decision-surface shard for one live version."""
-        shard_key = (collective, mv.version)
-        with self._shards_lock:
-            shard = self._shards.get(shard_key)
-            if shard is not None:
-                return shard
-        # build outside the lock: one batched sweep, potentially slow —
-        # a concurrent builder for the same key just wins the race
-        assert isinstance(mv.model, SelectorModel)
-        built = mv.model.build_surface()
-        telemetry = get_telemetry()
-        telemetry.add("serve.surface.builds")
-        with self._shards_lock:
-            shard = self._shards.setdefault(shard_key, built)
-            # prune shards of unseated versions for this collective
-            stale = [
-                k for k in self._shards
-                if k[0] == collective and k[1] != mv.version
-            ]
-            for k in stale:
-                del self._shards[k]
-            if stale:
-                telemetry.add("serve.surface.pruned", len(stale))
-        return shard
 
 
 __all__ = [

@@ -98,7 +98,6 @@ def build_state(spec: dict) -> WorkerState:
         )
     service = PredictionService(
         registry,
-        mode=spec.get("mode", "exact"),
         cache_size=int(spec.get("cache_size", 4096)),
         compiled=bool(spec.get("compiled", True)),
         feedback=feedback,
@@ -270,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--spec", required=True,
         help="JSON worker spec: machine, library, rules, worker_id, "
-        "mode, cache_size, compiled",
+        "cache_size, compiled",
     )
     args = parser.parse_args(argv)
     try:

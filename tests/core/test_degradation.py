@@ -18,7 +18,6 @@ from repro.core.config_gen import (
 )
 from repro.core.dataset import CorruptDatasetError, PerfDataset
 from repro.core.selector import AlgorithmSelector, NoModelError
-from repro.core.surface import DecisionSurface
 from repro.core.tuner import AutoTuner
 from repro.machine.zoo import tiny_testbed
 from repro.ml import KNNRegressor
@@ -140,25 +139,6 @@ class TestSelectionTableFallback:
             selection_table(sel, 4, 1, (64,))
 
 
-class TestSurfaceDegradation:
-    def test_uncovered_cells_sentinel_and_counter(self):
-        telemetry = get_telemetry()
-        sel = AlgorithmSelector(lambda: NaNRegressor()).fit(crossover_dataset())
-        before = telemetry.counters_snapshot().get("surface.uncovered_cells", 0)
-        surface = DecisionSurface.from_selector(sel, (4, 8), (1,), (64, 1024))
-        after = telemetry.counters_snapshot().get("surface.uncovered_cells", 0)
-        assert (surface.best_cid == -1).all()
-        assert after - before == surface.num_cells
-        with pytest.raises(NoModelError):
-            surface.recommend(4, 1, 64)
-
-    def test_partially_covered_surface(self):
-        sel = AlgorithmSelector(one_bad_factory({1})).fit(crossover_dataset())
-        surface = DecisionSurface.from_selector(sel, (4,), (1,), (64, 1 << 20))
-        # config 0 still has a model, so every cell is covered by it
-        assert (surface.best_cid == 0).all()
-
-
 def make_tuner(learner) -> AutoTuner:
     return AutoTuner(
         machine=tiny_testbed,
@@ -187,17 +167,6 @@ class TestTunerFallback:
         assert after - before == 1
         events = [e for e in sink.events if e.name == "tuner_fallback"]
         assert events and events[0].fields["source"] == "recommend"
-
-    def test_recommend_fast_falls_back_on_uncovered_surface(self):
-        tuner = make_tuner(lambda: NaNRegressor())
-        tuner.benchmark(TINY_GRID, name="fbf")
-        tuner.train()
-        tuner.build_surface((2, 4), (1, 2), (1, 1024))
-        with get_telemetry().capture() as sink:
-            config = tuner.recommend_fast(4, 2, 1024)
-        assert config == tuner.default_config(4, 2, 1024)
-        events = [e for e in sink.events if e.name == "tuner_fallback"]
-        assert events and events[0].fields["source"] == "recommend_fast"
 
     def test_healthy_tuner_never_falls_back(self):
         tuner = make_tuner("KNN")

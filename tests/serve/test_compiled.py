@@ -16,25 +16,58 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collectives.base import CollectiveKind
+from repro.core.selector import AlgorithmSelector
 from repro.machine.zoo import tiny_testbed
-from repro.ml import _ckernel
+from repro.ml import KNNRegressor, _ckernel
 from repro.ml.kernels import table_lookup_numpy
 from repro.obs import get_telemetry
 from repro.serve import (
     ModelRegistry,
     PredictionService,
     RuleSet,
+    SelectorModel,
     compile_rules_model,
+    compile_selector,
     compile_servable,
 )
 
+from tests.core.test_degradation import (
+    TINY_GRID,
+    NaNRegressor,
+    make_tuner,
+    one_bad_factory,
+)
+from tests.core.test_selector import crossover_dataset
 from tests.serve.conftest import make_rules_text
 from tests.serve.test_property_oracle import GRIDS, instances, oracle
+
+#: selector serving grid for the lowering tests: every msize sits in
+#: its own log2 bucket, so no bucket is dropped
+NODES = (2, 4, 8, 16)
+PPNS = (1, 4)
+MSIZES = tuple(int(2**k) for k in range(0, 23, 2))
 
 
 def _rules_model(library, picks):
     text = make_rules_text(library, "bcast", 8, 2, picks)
     return RuleSet.parse(text).resolve(library)
+
+
+def _selector_model(selector, nodes=NODES, ppns=PPNS, msizes=MSIZES):
+    return SelectorModel(
+        selector=selector,
+        collective=CollectiveKind.BCAST,
+        grid_axes=(nodes, ppns, msizes),
+    )
+
+
+@pytest.fixture(scope="module")
+def crossover_selector():
+    """1-NN over the synthetic latency/bandwidth crossover dataset."""
+    return AlgorithmSelector(lambda: KNNRegressor(k=1)).fit(
+        crossover_dataset()
+    )
 
 
 def _numpy_twin(table, nodes, ppn, msize):
@@ -215,6 +248,68 @@ class TestSurfaceLowering:
 
         assert compile_servable(Opaque(), version=1) is None
 
+    def test_shape_and_cells(self, crossover_selector):
+        table = compile_selector(_selector_model(crossover_selector), 1)
+        assert table.cells.shape == (64, len(NODES), len(PPNS))
+        coverage = table.coverage()
+        assert coverage["cells"] == len(NODES) * len(PPNS) * len(MSIZES)
+        assert coverage["dropped_buckets"] == 0
+
+    def test_on_grid_matches_selector(self, crossover_selector):
+        table = compile_selector(_selector_model(crossover_selector), 1)
+        for n in NODES:
+            for p in PPNS:
+                for m in MSIZES:
+                    cid = table.lookup(n, p, m)
+                    assert table.configs[cid] == crossover_selector.select(
+                        n, p, m
+                    )
+
+    def test_crossover_regimes(self, crossover_selector):
+        table = compile_selector(_selector_model(crossover_selector), 1)
+        assert table.configs[table.lookup(8, 1, 1)].name == "latency"
+        assert table.configs[table.lookup(8, 1, 1 << 22)].name == "bandwidth"
+
+    def test_empty_axis_rejected(self, crossover_selector):
+        with pytest.raises(ValueError, match="non-empty"):
+            compile_selector(_selector_model(crossover_selector, nodes=()), 1)
+
+    def test_single_batched_predict(self, crossover_selector):
+        calls = []
+        original = crossover_selector.predict_times
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        crossover_selector.predict_times = spy
+        try:
+            compile_selector(_selector_model(crossover_selector), 1)
+        finally:
+            del crossover_selector.predict_times
+        assert len(calls) == 1
+
+    def test_uncovered_cells_sentinel_and_counter(self):
+        sel = AlgorithmSelector(lambda: NaNRegressor()).fit(crossover_dataset())
+        telemetry = get_telemetry()
+        before = telemetry.counters_snapshot().get("surface.uncovered_cells", 0)
+        table = compile_selector(
+            _selector_model(sel, (4, 8), (1,), (64, 1024)), 1
+        )
+        after = telemetry.counters_snapshot().get("surface.uncovered_cells", 0)
+        assert (table.cells == -1).all()
+        assert after - before == 2 * 1 * 2
+        assert table.lookup(4, 1, 64) == -1
+
+    def test_partially_covered_selector(self):
+        sel = AlgorithmSelector(one_bad_factory({1})).fit(crossover_dataset())
+        table = compile_selector(
+            _selector_model(sel, (4,), (1,), (64, 1 << 20)), 1
+        )
+        # config 0 still has a model, so every grid cell is covered by it
+        assert table.lookup(4, 1, 64) == table.lookup(4, 1, 1 << 20) == 0
+        assert table.coverage()["cells"] == 2
+
 
 class TestCompiledService:
     """The L0 tier inside PredictionService: identity, stats, reloads."""
@@ -252,6 +347,27 @@ class TestCompiledService:
         # scalar path agrees and is also compiled
         rec = service.recommend("bcast", nodes[0], ppns[0], msizes[0])
         assert rec.compiled
+
+    def test_all_quarantined_selector_serves_default(self, library):
+        tuner = make_tuner(lambda: NaNRegressor())
+        tuner.benchmark(TINY_GRID, name="quarantined")
+        tuner.train()
+        registry = ModelRegistry(tiny_testbed, library)
+        registry.publish(tuner.servable(), tag="nan")
+        service = PredictionService(registry, compiled=True)
+        grid = [
+            ("bcast", n, p, m)
+            for n in TINY_GRID.nodes
+            for p in TINY_GRID.ppns
+            for m in TINY_GRID.msizes
+        ]
+        scalars = [service.recommend(*inst) for inst in grid]
+        batch = PredictionService(registry, compiled=True).recommend_many(grid)
+        for inst, rec, many in zip(grid, scalars, batch, strict=True):
+            want = tuner.recommend(*inst[1:])
+            for got in (rec, many):
+                assert got.source == "default" and not got.compiled
+                assert got.config == want
 
     def test_rules_service_identical_with_and_without_tier(
         self, library, tmp_path

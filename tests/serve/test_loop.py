@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,6 +140,26 @@ class TestServeLines:
         )
         # blank line skipped; bad lines answered; good line served
         assert [r["ok"] for r in responses] == [False, True, False]
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("nodes", 0),
+            ("ppn", -2),
+            ("msize", -64),
+            ("msize", 64.9),
+            ("msize", "-64"),
+            ("nodes", True),
+            ("ppn", 1.5),
+        ],
+    )
+    def test_out_of_range_instance_rejected(self, service, field, bad):
+        good = {"collective": "bcast", "nodes": 2, "ppn": 1, "msize": 64}
+        responses = run_lines(
+            service, [json.dumps({**good, field: bad}), json.dumps(good)]
+        )
+        assert [r["ok"] for r in responses] == [False, True]
+        assert field in responses[0]["error"]
 
     def test_quit_stops_early(self, service):
         responses = run_lines(

@@ -126,15 +126,6 @@ class TestSelectorModelProtocol:
         assert ppns == (1, 2)
         assert msizes == (64, 4096, 262144)
 
-    def test_surface_shard_matches_recommend_fast(self, tuned_bcast):
-        model = tuned_bcast.servable()
-        shard = model.build_surface()
-        tuned_bcast.build_surface(*model.grid_axes)
-        for n, p, m in [(2, 1, 64), (5, 2, 5000), (8, 2, 262144)]:
-            assert shard.recommend(n, p, m) == tuned_bcast.recommend_fast(
-                n, p, m
-            )
-
     def test_rules_model_allocation_projection(
         self, registry, library, tmp_path
     ):

@@ -1,4 +1,4 @@
-"""PredictionService: cache levels, batching, fallback, surface mode."""
+"""PredictionService: cache levels, batching, fallback."""
 
 from __future__ import annotations
 
@@ -44,10 +44,6 @@ class TestRecommend:
     def test_msize_zero_and_huge_are_served(self, service):
         assert service.recommend("bcast", 2, 1, 0).config is not None
         assert service.recommend("bcast", 2, 1, 1 << 28).config is not None
-
-    def test_bad_mode_rejected(self, registry):
-        with pytest.raises(ValueError, match="mode"):
-            PredictionService(registry, mode="warp")
 
 
 class TestHotReloadInvalidation:
@@ -111,52 +107,10 @@ class TestRecommendMany:
         assert counter("serve.batches") == before + 1
 
 
-class TestSurfaceMode:
-    @pytest.fixture
-    def surface_service(self, registry, tuned_bcast):
-        registry.publish(tuned_bcast.servable(), tag="tuned")
-        return PredictionService(registry, mode="surface")
-
-    def test_matches_recommend_fast(self, surface_service, tuned_bcast):
-        tuned_bcast.build_surface(
-            (2, 4, 8), (1, 2), (64, 4096, 262144)
-        )
-        for n, p, m in [(2, 1, 64), (3, 2, 900), (8, 2, 1 << 22)]:
-            rec = surface_service.recommend("bcast", n, p, m)
-            assert rec.config == tuned_bcast.recommend_fast(n, p, m)
-
-    def test_shard_built_lazily_once(self, surface_service):
-        before = counter("serve.surface.builds")
-        surface_service.recommend("bcast", 2, 1, 64)
-        surface_service.recommend("bcast", 4, 2, 4096)
-        assert counter("serve.surface.builds") == before + 1
-
-    def test_shard_rebuilt_after_reload(
-        self, surface_service, registry, tuned_bcast
-    ):
-        surface_service.recommend("bcast", 2, 1, 64)
-        before = counter("serve.surface.builds")
-        registry.publish(tuned_bcast.servable(), tag="v2")
-        surface_service.recommend("bcast", 2, 1, 64)
-        assert counter("serve.surface.builds") == before + 1
-
-    def test_rules_model_serves_directly_in_surface_mode(
-        self, registry, library, tmp_path
-    ):
-        path = tmp_path / "r.conf"
-        path.write_text(make_rules_text(library, "bcast", 4, 2, [(0, 1)]))
-        registry.load_rules(path)
-        svc = PredictionService(registry, mode="surface")
-        before = counter("serve.surface.builds")
-        assert svc.recommend("bcast", 4, 2, 64).source == "model"
-        assert counter("serve.surface.builds") == before
-
-
 class TestStats:
     def test_stats_shape(self, service):
         service.recommend("bcast", 2, 1, 64)
         stats = service.stats()
-        assert stats["mode"] == "exact"
         assert stats["l1"]["capacity"] == 4096
         assert "bcast" in stats["versions"]
         assert any(k.startswith("serve.") for k in stats["counters"])
