@@ -52,6 +52,7 @@ from repro.serve.chaos import (  # noqa: E402
     verify_chaos_invariants,
     verify_reload_contract,
 )
+from repro.serve.fleet import http_get  # noqa: E402
 
 SEED = 8
 WORKERS = 3
@@ -124,25 +125,11 @@ class Client:
 
 
 def healthz(port: int) -> dict:
-    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-        sock.sendall(
-            b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-        )
-        raw = b""
-        while chunk := sock.recv(65536):
-            raw += chunk
-    return json.loads(raw.partition(b"\r\n\r\n")[2])
+    return json.loads(http_get("127.0.0.1", port, "/healthz")[1])
 
 
 def metric_value(port: int, name: str) -> float:
-    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-        sock.sendall(
-            b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-        )
-        raw = b""
-        while chunk := sock.recv(65536):
-            raw += chunk
-    for line in raw.partition(b"\r\n\r\n")[2].decode().splitlines():
+    for line in http_get("127.0.0.1", port, "/metrics")[1].splitlines():
         if line.startswith(f"{name} "):
             return float(line.split()[-1])
     return 0.0

@@ -47,6 +47,9 @@ LOCKED_ATTRS: dict[str, dict[str, str]] = {
     "FileSink": {"_fh": "_lock"},
     # repro/bench/checkpoint.py
     "CampaignJournal": {"_chunks": "_lock"},
+    # repro/serve/fleet.py: respawned workers boot from this list, so
+    # it must not move between a spec snapshot and the worker install
+    "Fleet": {"_committed": "_reload_lock"},
 }
 
 _MUTATOR_METHODS = {

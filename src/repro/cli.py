@@ -168,7 +168,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             rules=tuple(args.rules or ()),
             workers=args.workers,
             cache_size=args.cache_size,
-            compiled=args.compiled,
             queue_depth=args.queue_depth,
             max_worker_restarts=args.max_worker_restarts,
             call_timeout_s=args.call_timeout,
@@ -237,7 +236,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"feedback log: {feedback.path}", file=sys.stderr)
     service = PredictionService(
         registry, cache_size=args.cache_size,
-        compiled=args.compiled, feedback=feedback,
+        compiled=True, feedback=feedback,
     )
     source = open(args.requests) if args.requests else sys.stdin
     try:
@@ -495,11 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ppn", type=int, default=2,
                    help="target allocation ppn for --tune")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--compiled", action=argparse.BooleanOptionalAction, default=True,
-        help="serve covered instances from compiled decision tables "
-        "(branchless flat lookup; uncovered instances fall through)",
-    )
     p.add_argument("--cache-size", type=int, default=4096,
                    help="L1 recommendation LRU capacity")
     p.add_argument(

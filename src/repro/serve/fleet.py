@@ -16,13 +16,14 @@ fleet:
   concurrently.
 * **Self-healing** (:class:`FleetSupervisor`): a dead worker (pipe
   EOF, response-pipe overflow, call timeout, process exit) is
-  respawned with exponential backoff and **warm-restored** — every
-  reload committed since boot is replayed through the normal
-  ``prepare``/``commit`` path before the worker rejoins the ring, so a
-  respawned worker never serves a stale registry or skews version
-  numbers. A per-worker circuit breaker (more than
-  ``max_worker_restarts`` crashes inside ``restart_window_s``) holds a
-  crash-looping worker open instead of thrashing.
+  respawned with exponential backoff and **boots at the committed
+  version** — its spec lists the base rules plus every reload
+  committed since boot, in order, and is snapshotted and installed
+  under the reload lock, so a respawned worker never serves a stale
+  registry or skews version numbers. A per-worker circuit breaker
+  (more than ``max_worker_restarts`` crashes inside
+  ``restart_window_s``) holds a crash-looping worker open instead of
+  thrashing.
 * **Failover routing & bounded retry**: while a worker is down its
   keys route to the next live owner on the hash ring (deterministic —
   keys return to the original owner after respawn), and a request that
@@ -43,8 +44,8 @@ fleet:
   (:meth:`Fleet._handle_reload`): phase one stages the candidate on
   every *live* worker while traffic still flows (a live worker that
   rejects it aborts the whole reload; a worker that dies mid-phase is
-  simply excluded — its replacement warm-restores to whatever the
-  reload decides); phase two closes the request gate, waits for
+  simply excluded — its replacement boots at whatever the reload
+  decides); phase two closes the request gate, waits for
   in-flight requests to drain, commits every staged worker, and
   reopens. Queued requests are *delayed, never dropped*, and no
   response can mix versions.
@@ -75,7 +76,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from repro.obs import get_telemetry
 from repro.serve.exporter import render_prometheus
@@ -127,7 +128,7 @@ HELP_TEXTS = {
     "fleet.worker_failures": "requests failed because no live worker could answer",
     "fleet.failover_retries": "requests retried on a failover ring owner",
     "fleet.shed": "requests shed because a worker queue hit its high-water mark",
-    "fleet.worker_restarts": "dead workers respawned and warm-restored",
+    "fleet.worker_restarts": "dead workers respawned at the committed version",
     "fleet.breaker_open": "per-worker circuit breakers opened on crash loops",
     "fleet.worker_garbage_lines": "unparseable worker stdout lines skipped",
     "fleet.queue_depth": "in-flight requests per worker",
@@ -165,7 +166,6 @@ class FleetSpec:
     rules: tuple[str, ...] = ()
     workers: int = 2
     cache_size: int = 4096
-    compiled: bool = True
     #: per-worker in-flight high-water mark; beyond it requests are
     #: shed with ``ok: false, error: "overloaded"`` instead of queueing
     queue_depth: int = 128
@@ -192,14 +192,16 @@ class FleetSpec:
     feedback_shift: float = 1.0
     feedback_shift_algids: tuple[int, ...] = ()
 
-    def worker_spec(self, worker_id: int) -> dict:
+    def worker_spec(self, worker_id: int, committed: Sequence[str]) -> dict:
+        """The boot spec of one worker: the base rules followed by the
+        ``committed`` reloads in commit order, so a worker booted now
+        lands on exactly the version numbers its peers serve."""
         spec = {
             "worker_id": worker_id,
             "machine": self.machine,
             "library": self.library,
-            "rules": list(self.rules),
+            "rules": [*self.rules, *committed],
             "cache_size": self.cache_size,
-            "compiled": self.compiled,
             "chaos_ops": self.chaos_ops,
         }
         if self.feedback_dir:
@@ -277,11 +279,25 @@ class HashRing:
         chain = self.owners_for(collective, nodes, ppn)
         if alive is None:
             return chain[0]
-        live = set(alive)
-        for owner in chain:
-            if owner in live:
-                return owner
-        raise WorkerError("no live worker owns the ring")
+        owner = first_live_owner(chain, set(alive))
+        if owner is None:
+            raise WorkerError("no live worker owns the ring")
+        return owner
+
+
+def first_live_owner(owners: Sequence[int], alive: Container[int]
+                     ) -> int | None:
+    """The one live-owner rule: the first of ``owners`` (a key's ring
+    chain, home owner first) that is in ``alive``; None when none is.
+
+    Request routing (:meth:`Fleet._scatter`,
+    :meth:`Fleet._call_with_failover`) and :meth:`HashRing.worker_for`
+    all decide through this function.
+    """
+    for owner in owners:
+        if owner in alive:
+            return owner
+    return None
 
 
 class _ReloadGate:
@@ -527,16 +543,16 @@ class _FleetStats:
 
 
 class FleetSupervisor:
-    """Watches worker liveness; respawns, warm-restores, opens breakers.
+    """Watches worker liveness; respawns, opens breakers.
 
     Deaths kick the watch loop awake immediately (``kick``); a slow
     poll catches anything the kick missed. Each dead slot gets its own
     respawn task: emit the ``fleet_worker_died`` event (with the
     quarantined stderr tail), reap the corpse, back off exponentially
-    on repeated crashes, spawn a replacement, **warm-restore** it (every
-    committed reload replayed through prepare/commit under the reload
-    lock, so it cannot race a concurrent reload), and only then install
-    it back into the routing table. More than
+    on repeated crashes, then — under the reload lock, so it cannot
+    race a concurrent reload — spawn a replacement that **boots at the
+    committed version** (base rules plus every committed reload) and
+    install it back into the routing table. More than
     ``spec.max_worker_restarts`` crashes inside ``spec.restart_window_s``
     open the slot's circuit breaker: the worker is held open (no more
     respawns, ``fleet.breaker_open``) and the fleet keeps serving
@@ -633,20 +649,15 @@ class FleetSupervisor:
                 await asyncio.sleep(delay)
                 if fleet._stopping:
                     return
-                handle: WorkerHandle | None = None
                 try:
-                    handle = await fleet._spawn_handle(slot)
-                    # warm-restore under the reload lock: no reload can
-                    # land between the replay and the install, so the
-                    # rejoined worker can never be version-skewed
+                    # boot + install under the reload lock: no reload
+                    # can land between the spec snapshot and the
+                    # install, so the rejoined worker can never be
+                    # version-skewed (_spawn_handle reaps a failed boot)
                     async with fleet._reload_lock:
-                        await fleet._warm_restore(handle)
+                        handle = await fleet._spawn_handle(slot)
                         fleet.workers[slot] = handle
                 except Exception as exc:
-                    if handle is not None:
-                        handle._fail("failed warm restore")
-                        with contextlib.suppress(Exception):
-                            await handle.process.wait()
                     telemetry.event(
                         "fleet_worker_respawn_failed", worker=slot,
                         error=f"{type(exc).__name__}: {exc}",
@@ -656,7 +667,7 @@ class FleetSupervisor:
                 telemetry.event(
                     "fleet_worker_respawned", worker=slot,
                     pid=handle.process.pid,
-                    restored_reloads=len(fleet._committed),
+                    committed_reloads=len(fleet._committed),
                 )
                 return
         finally:
@@ -678,13 +689,13 @@ class Fleet:
         self.ring = HashRing(spec.workers)
         self.supervisor: FleetSupervisor | None = None
         self._gate = _ReloadGate()
-        self._reload_lock: asyncio.Lock | None = None
+        #: serialises reloads with each other and with respawns
+        self._reload_lock = asyncio.Lock()
         self._reload_tokens = itertools.count(1)
-        self._restore_tokens = itertools.count(1)
         self._server: asyncio.AbstractServer | None = None
         self._stats = _FleetStats()
         #: rules paths committed by coordinated reloads since boot, in
-        #: order — the warm-restore replay script for respawned workers
+        #: order — appended to every respawned worker's boot rules
         self._committed: list[str] = []
         self._connections: set[asyncio.Task] = set()
         self._stopping = False
@@ -692,15 +703,24 @@ class Fleet:
 
     # -- lifecycle -------------------------------------------------------
     async def _make_handle(self, worker_id: int) -> WorkerHandle:
+        """Spawn a worker booting at the committed version.
+
+        Its spec goes out as the first stdin line, not argv: the
+        committed list grows with every reload, and Linux caps a single
+        argument at 128 KiB.
+        """
         process = await asyncio.create_subprocess_exec(
             sys.executable, "-m", "repro.serve.worker",
-            "--spec", json.dumps(self.spec.worker_spec(worker_id)),
             stdin=asyncio.subprocess.PIPE,
             stdout=asyncio.subprocess.PIPE,
             stderr=asyncio.subprocess.PIPE,
             env=_worker_env(),
             limit=STREAM_LIMIT,
         )
+        stdin = process.stdin
+        assert stdin is not None  # PIPE-spawned
+        spec = self.spec.worker_spec(worker_id, self._committed)
+        stdin.write((json.dumps(spec) + "\n").encode("utf-8"))
         return WorkerHandle(worker_id, process, on_death=self._kick_supervisor)
 
     async def _spawn_handle(self, worker_id: int) -> WorkerHandle:
@@ -721,7 +741,6 @@ class Fleet:
             self.supervisor.kick.set()
 
     async def start(self) -> None:
-        self._reload_lock = asyncio.Lock()
         self.supervisor = FleetSupervisor(self)
         for worker_id in range(self.spec.workers):
             self.workers.append(await self._make_handle(worker_id))
@@ -897,6 +916,9 @@ class Fleet:
             # malformed: any worker can render the error
             return tuple(range(len(self.workers)))
 
+    def _alive_ids(self) -> set[int]:
+        return {slot for slot, worker in enumerate(self.workers) if worker.alive}
+
     def _admit(self, handle: WorkerHandle) -> None:
         """Backpressure: shed instead of queueing past the high-water
         mark — an overloaded worker answers *some* requests fast rather
@@ -917,16 +939,11 @@ class Fleet:
         tried: set[int] = set()
         last: WorkerError | None = None
         for attempt in range(2):
-            handle = next(
-                (
-                    self.workers[owner] for owner in owners
-                    if self.workers[owner].alive and owner not in tried
-                ),
-                None,
-            )
-            if handle is None:
+            owner = first_live_owner(owners, self._alive_ids() - tried)
+            if owner is None:
                 break
-            tried.add(handle.worker_id)
+            tried.add(owner)
+            handle = self.workers[owner]
             if attempt:
                 telemetry.add("fleet.failover_retries")
             self._admit(handle)
@@ -967,6 +984,7 @@ class Fleet:
         input order. Sub-batches whose worker dies mid-call regroup by
         the new live owners and retry once. Returns the first error
         response (verbatim), or None on success."""
+        alive = self._alive_ids()  # once per scatter, not per instance
         groups: dict[int, list[int]] = {}
         for position in positions:
             instance = instances[position]
@@ -975,9 +993,7 @@ class Fleet:
                 if isinstance(instance, dict)
                 else tuple(range(len(self.workers)))
             )
-            target = next(
-                (o for o in owners if self.workers[o].alive), None
-            )
+            target = first_live_owner(owners, alive)
             if target is None:
                 raise WorkerError("no live worker owns the ring")
             groups.setdefault(target, []).append(position)
@@ -1017,64 +1033,35 @@ class Fleet:
         return None
 
     # -- coordinated reload ----------------------------------------------
-    async def _warm_restore(self, handle: WorkerHandle) -> None:
-        """Replay every committed reload into a respawned worker.
-
-        The worker booted from the base spec (version numbers 1..R for
-        R base rules files); replaying the committed paths in order
-        through the same prepare/commit ops lands it on exactly the
-        version numbers its peers serve. Runs under the reload lock —
-        the loop re-checks ``_committed`` so a reload that landed while
-        the worker was booting is replayed too, never missed.
-        """
-        applied = 0
-        while applied < len(self._committed):
-            path = self._committed[applied]
-            token = f"restore-{handle.worker_id}-{next(self._restore_tokens)}"
-            prepare = await handle.call(
-                {"op": "prepare_reload", "path": path, "token": token},
-                timeout=self.spec.call_timeout_s,
-            )
-            if not prepare.get("ok"):
-                raise WorkerError(
-                    f"worker {handle.worker_id} failed to restore {path}: "
-                    f"{prepare.get('error')}"
-                )
-            commit = await handle.call(
-                {"op": "commit_reload", "token": token},
-                timeout=self.spec.call_timeout_s,
-            )
-            if not commit.get("ok"):
-                raise WorkerError(
-                    f"worker {handle.worker_id} failed to commit restored "
-                    f"{path}: {commit.get('error')}"
-                )
-            applied += 1
+    async def _ask_all(self, workers: Sequence[WorkerHandle], payload: dict
+                       ) -> list[dict | BaseException]:
+        """Send ``payload`` to every worker concurrently; one answer (or
+        the exception its call raised) per worker, in input order."""
+        return await asyncio.gather(
+            *(
+                worker.call(payload, timeout=self.spec.call_timeout_s)
+                for worker in workers
+            ),
+            return_exceptions=True,
+        )
 
     async def _handle_reload(self, payload: dict) -> dict:
         path = payload.get("path")
         if not path:
             return {"ok": False, "error": "ValueError: reload needs a 'path'"}
         telemetry = get_telemetry()
-        assert self._reload_lock is not None
         async with self._reload_lock:  # one reload at a time, fleet-wide
             token = f"reload-{next(self._reload_tokens)}"
             # phase 1 — stage on every live worker, traffic still
             # flowing; a dead worker is excluded (its replacement
-            # warm-restores to whatever this reload decides)
+            # boots at whatever this reload decides)
             participants = [w for w in self.workers if w.alive]
             if not participants:
                 telemetry.add("fleet.reload_rejected")
                 return {"ok": False, "error": "WorkerError: no live workers"}
-            prepares = await asyncio.gather(
-                *(
-                    worker.call(
-                        {"op": "prepare_reload", "path": path, "token": token},
-                        timeout=self.spec.call_timeout_s,
-                    )
-                    for worker in participants
-                ),
-                return_exceptions=True,
+            prepares = await self._ask_all(
+                participants,
+                {"op": "prepare_reload", "path": path, "token": token},
             )
             rejections = [
                 p for p in prepares
@@ -1088,15 +1075,8 @@ class Fleet:
                 and prepared.get("ok")
             ]
             if rejections or not staged:
-                await asyncio.gather(
-                    *(
-                        worker.call(
-                            {"op": "abort_reload", "token": token},
-                            timeout=self.spec.call_timeout_s,
-                        )
-                        for worker in staged
-                    ),
-                    return_exceptions=True,
+                await self._ask_all(
+                    staged, {"op": "abort_reload", "token": token}
                 )
                 telemetry.add("fleet.reload_rejected")
                 error = (
@@ -1113,15 +1093,8 @@ class Fleet:
                 # return_exceptions so a worker dying mid-commit still
                 # reaches the accounting below instead of leaving
                 # survivors silently on the new version
-                commits = await asyncio.gather(
-                    *(
-                        worker.call(
-                            {"op": "commit_reload", "token": token},
-                            timeout=self.spec.call_timeout_s,
-                        )
-                        for worker in staged
-                    ),
-                    return_exceptions=True,
+                commits = await self._ask_all(
+                    staged, {"op": "commit_reload", "token": token}
                 )
             finally:
                 self._gate.open()
@@ -1135,8 +1108,8 @@ class Fleet:
             ]
             versions = {commit.get("version") for commit in good}
             # a worker that died mid-commit is not skew — it is dead,
-            # and its replacement warm-restores to the committed
-            # version; skew is a *live* worker on a different version
+            # and its replacement boots at the committed version;
+            # skew is a *live* worker on a different version
             bad_live = [
                 worker.worker_id
                 for worker, commit in zip(staged, commits, strict=True)
@@ -1152,7 +1125,7 @@ class Fleet:
                     f"live workers {bad_live} failed, committed workers "
                     f"serve version(s) {sorted(versions)}",
                 }
-            # committed: respawned workers must replay this reload
+            # committed: respawned workers boot with this reload
             self._committed.append(str(path))
             telemetry.add("fleet.reloads")
         return {
@@ -1213,23 +1186,23 @@ class Fleet:
         }
 
     # -- stats + metrics --------------------------------------------------
-    async def _worker_counters(self) -> dict[str, int]:
+    async def _scrape(self, op: str) -> list[tuple[WorkerHandle, dict]]:
+        """Admit, then ask ``op`` of every live worker: (worker, answer)
+        for each ``ok`` answer. Raises :class:`OverloadedError` (before
+        asking anyone) when any live worker is past its high-water mark."""
         live = [worker for worker in self.workers if worker.alive]
         for worker in live:
             self._admit(worker)
-        responses = await asyncio.gather(
-            *(
-                worker.call(
-                    {"op": "counters"}, timeout=self.spec.call_timeout_s
-                )
-                for worker in live
-            ),
-            return_exceptions=True,
-        )
+        answers = await self._ask_all(live, {"op": op})
+        return [
+            (worker, answer)
+            for worker, answer in zip(live, answers, strict=True)
+            if not isinstance(answer, BaseException) and answer.get("ok")
+        ]
+
+    async def _worker_counters(self) -> dict[str, int]:
         merged: dict[str, int] = {}
-        for response in responses:
-            if isinstance(response, BaseException) or not response.get("ok"):
-                continue
+        for _worker, response in await self._scrape("counters"):
             for name, value in response.get("counters", {}).items():
                 merged[name] = merged.get(name, 0) + int(value)
         return merged
@@ -1242,22 +1215,10 @@ class Fleet:
         that would be statistically meaningless); the ``worker`` label
         keeps them distinct on the scrape surface.
         """
-        live = [worker for worker in self.workers if worker.alive]
-        for worker in live:
-            self._admit(worker)
-        responses = await asyncio.gather(
-            *(
-                worker.call({"op": "drift"}, timeout=self.spec.call_timeout_s)
-                for worker in live
-            ),
-            return_exceptions=True,
-        )
         from repro.obs.drift import ResidualStats
 
         merged: dict[str, dict[str, float]] = {}
-        for worker, response in zip(live, responses, strict=True):
-            if isinstance(response, BaseException) or not response.get("ok"):
-                continue
+        for worker, response in await self._scrape("drift"):
             drift = response.get("drift", {})
             for payload in drift.get("stats", ()):
                 stats = ResidualStats.from_dict(payload)
@@ -1279,7 +1240,7 @@ class Fleet:
 
     def _health(self) -> dict:
         """The shared health snapshot behind /healthz and stats."""
-        alive = [w.worker_id for w in self.workers if w.alive]
+        alive = self._alive_ids()
         restarting = (
             self.supervisor.restarting_ids() if self.supervisor else []
         )
@@ -1301,17 +1262,7 @@ class Fleet:
         }
 
     async def _handle_stats(self) -> dict:
-        live = [worker for worker in self.workers if worker.alive]
-        for worker in live:
-            self._admit(worker)
-        worker_stats = await asyncio.gather(
-            *(
-                worker.call({"op": "stats"}, timeout=self.spec.call_timeout_s)
-                for worker in live
-            ),
-            return_exceptions=True,
-        )
-        by_worker = dict(zip(live, worker_stats, strict=True))
+        by_worker = dict(await self._scrape("stats"))
         telemetry = get_telemetry()
         latency = telemetry.histograms_snapshot().get(
             "fleet.request_latency_us"
@@ -1320,11 +1271,7 @@ class Fleet:
         per_worker = []
         for worker in self.workers:
             response = by_worker.get(worker)
-            if (
-                response is None
-                or isinstance(response, BaseException)
-                or not response.get("ok")
-            ):
+            if response is None:
                 per_worker.append({"worker": worker.worker_id, "ok": False})
                 continue
             stats = response["stats"]
@@ -1631,33 +1578,7 @@ __all__ = [
     "WorkerError",
     "WorkerHandle",
     "client_request",
+    "first_live_owner",
     "http_get",
     "run_fleet",
 ]
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.serve.fleet`` — a bare fleet for quick pokes."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro.serve.fleet",
-        description="boot a prediction fleet (prefer `mpicollpred serve "
-        "--workers N`)",
-    )
-    parser.add_argument("--machine", default="Hydra")
-    parser.add_argument("--library", default="Open MPI")
-    parser.add_argument("--rules", action="append", default=[])
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8077)
-    args = parser.parse_args(argv)
-    spec = FleetSpec(
-        machine=args.machine, library=args.library,
-        rules=tuple(args.rules), workers=args.workers,
-    )
-    return run_fleet(spec, host=args.host, port=args.port)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -153,7 +153,7 @@ class ModelRegistry:
 
         Fleet peers must agree on this exactly: the chaos harness and
         the reload barrier compare it across workers (including freshly
-        warm-restored ones) to prove no version skew.
+        respawned ones) to prove no version skew.
         """
         return {
             str(collective): version.version

@@ -1,9 +1,12 @@
 """One fleet worker: a :class:`PredictionService` behind stdio JSONL.
 
 The front-end (:mod:`repro.serve.fleet`) spawns N of these as child
-processes (``python -m repro.serve.worker --spec '<json>'``) and talks
-line-delimited JSON over their stdin/stdout — the same request shapes
-as the single-process loop (:mod:`repro.serve.loop`) plus the fleet
+processes (``python -m repro.serve.worker``) and talks line-delimited
+JSON over their stdin/stdout. The first stdin line is the worker's boot
+spec (:meth:`~repro.serve.fleet.FleetSpec.worker_spec`: machine,
+library, rules paths in load order, service knobs); every later line
+is a request, answered on stdout — the same request shapes as the
+single-process loop (:mod:`repro.serve.loop`) plus the fleet
 coordination ops:
 
 * ``prepare_reload`` — parse/resolve/validate a rules file into a
@@ -45,7 +48,6 @@ human-readable goes to stderr.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -99,7 +101,7 @@ def build_state(spec: dict) -> WorkerState:
     service = PredictionService(
         registry,
         cache_size=int(spec.get("cache_size", 4096)),
-        compiled=bool(spec.get("compiled", True)),
+        compiled=True,
         feedback=feedback,
     )
     return WorkerState(
@@ -260,20 +262,14 @@ def serve_worker(state: WorkerState, lines, out: IO[str]) -> int:
     return served
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.serve.worker",
-        description="fleet worker process (spawned by mpicollpred serve "
-        "--workers N; not meant to be run by hand)",
-    )
-    parser.add_argument(
-        "--spec", required=True,
-        help="JSON worker spec: machine, library, rules, worker_id, "
-        "cache_size, compiled",
-    )
-    args = parser.parse_args(argv)
+def main() -> int:
+    """Boot from the spec on the first stdin line, then serve the rest.
+
+    Spawned by ``mpicollpred serve --workers N``; not meant to be run
+    by hand.
+    """
     try:
-        spec = json.loads(args.spec)
+        spec = json.loads(sys.stdin.readline())
         state = build_state(spec)
     except Exception as exc:  # surfaced as a protocol line, then die
         sys.stdout.write(

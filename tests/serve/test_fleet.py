@@ -38,6 +38,7 @@ from repro.serve.fleet import (
     WorkerError,
     WorkerHandle,
     _ReloadGate,
+    first_live_owner,
     http_get,
 )
 from repro.serve.registry import ReloadError, StagedModel
@@ -163,15 +164,17 @@ class TestFailoverRouting:
                 st.integers(0, n_workers - 1), max_size=n_workers - 1
             )
         )
-        alive = [w for w in range(n_workers) if w not in dead]
-        owner = ring.worker_for(collective, nodes, ppn, alive=alive)
+        alive = {w for w in range(n_workers) if w not in dead}
+        # first_live_owner is the rule Fleet._scatter and
+        # Fleet._call_with_failover route every request by
+        owner = first_live_owner(chain, alive)
         # the first live entry of the chain owns the key...
         assert owner == next(w for w in chain if w in alive)
+        assert owner not in dead
+        assert owner == ring.worker_for(collective, nodes, ppn, alive=alive)
         # ...and the key returns to its home owner on full health
-        assert (
-            ring.worker_for(collective, nodes, ppn, alive=range(n_workers))
-            == chain[0]
-        )
+        assert first_live_owner(chain, set(range(n_workers))) == chain[0]
+        assert first_live_owner(chain, set()) is None
 
 
 class TestReloadGate:
@@ -907,7 +910,7 @@ class TestFleetFeedbackClosedLoop:
         client = _Client(running.port)
         try:
             # commit one reload up front: the respawned worker must
-            # warm-restore it, not lose it
+            # boot with it, not lose it
             reload_response = client.ask(
                 {"op": "reload", "path": rules_path}
             )
@@ -1035,7 +1038,8 @@ def _healthz(port):
 
 @pytest.mark.slow
 class TestSelfHealing:
-    """Supervision end to end: kill, failover, respawn, warm-restore."""
+    """Supervision end to end: kill, failover, respawn at the committed
+    version."""
 
     def test_kill_respawn_warm_restore(self, rules_pair):
         spec = FleetSpec(
@@ -1045,12 +1049,11 @@ class TestSelfHealing:
         with FleetThread(spec) as running:
             client = _Client(running.port)
             try:
-                # commit a reload first: the respawned worker must
-                # warm-restore to v2, not rejoin the ring at boot v1
-                reloaded = client.ask(
-                    {"op": "reload", "path": rules_pair[1]}
-                )
-                assert reloaded["ok"], reloaded
+                # commit two reloads first: the respawned worker must
+                # boot at v3, not rejoin the ring at boot v1
+                for path in (rules_pair[1], rules_pair[0]):
+                    reloaded = client.ask({"op": "reload", "path": path})
+                    assert reloaded["ok"], reloaded
                 restarts_before = get_telemetry().counters_snapshot().get(
                     "fleet.worker_restarts", 0
                 )
@@ -1079,15 +1082,15 @@ class TestSelfHealing:
                 )
                 stats = client.ask({"op": "stats"})["stats"]
                 assert stats["fleet"]["versions_consistent"] is True
-                assert stats["fleet"]["committed_reloads"] == 1
+                assert stats["fleet"]["committed_reloads"] == 2
                 assert stats["fleet"]["health"]["alive"] == 2
-                # warm-restore replayed the committed reload: both
-                # workers (including the respawn) serve version 2
+                # the respawn booted base + both committed reloads:
+                # both workers serve version 3
                 versions = {
                     worker["versions"]["bcast"]["version"]
                     for worker in stats["workers"] if worker["ok"]
                 }
-                assert versions == {2}
+                assert versions == {3}
             finally:
                 client.close()
 
@@ -1173,3 +1176,35 @@ class TestSelfHealing:
                 assert stats["fleet"]["committed_reloads"] == 1
             finally:
                 client.close()
+
+
+@pytest.mark.slow
+class TestBootSpec:
+    """Workers read their boot spec from stdin, not argv."""
+
+    def test_spec_over_the_argv_cap_boots(self, tmp_path):
+        import shutil
+        from pathlib import Path
+
+        # one ~3.5k-character path, listed 40 times: the spec JSON is
+        # past Linux's 128 KiB single-argument cap (MAX_ARG_STRLEN)
+        nested = tmp_path
+        while len(str(nested)) < 3300:
+            nested = nested / ("d" * 200)
+        nested.mkdir(parents=True)
+        rules = nested / "hydra_bcast_rules.conf"
+        repo_root = Path(__file__).resolve().parents[2]
+        shutil.copyfile(repo_root / "hydra_bcast_rules.conf", rules)
+        spec = FleetSpec(rules=(str(rules),) * 40, workers=1)
+        assert len(json.dumps(spec.worker_spec(0, []))) > 128 * 1024
+        with FleetThread(spec) as running:
+            client = _Client(running.port)
+            try:
+                response = client.ask(
+                    {"op": "recommend", "collective": "bcast", "nodes": 8,
+                     "ppn": 16, "msize": 4096}
+                )
+            finally:
+                client.close()
+        assert response["ok"], response
+        assert response["version"] == 40
