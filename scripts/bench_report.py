@@ -5,10 +5,11 @@ Runs the quick pytest-benchmark subset (everything not marked ``slow``)
 with ``--benchmark-json``, extracts the headline medians, adds direct
 best-of-N measurements for the metrics the PR acceptance bars track
 (prediction latency, kernel speedup, booster fit time and native-grower
-speedup, campaign throughput, fastsim throughput), and writes
-``BENCH_<pr>.json`` at the repo root. A ``provenance`` block records
-the commit (and whether the tree was dirty), the Python version, the
-CPU model and count, whether the C kernel loaded, and ``REPRO_JOBS``.
+speedup, campaign throughput, fastsim throughput and round-reuse
+speedup), and writes ``BENCH_<pr>.json`` at the repo root. A
+``provenance`` block records the commit (and whether the tree was
+dirty), the Python version, the CPU model and count, whether the C
+kernel loaded, and ``REPRO_JOBS``.
 
 Usage::
 
@@ -226,6 +227,22 @@ def direct_metrics() -> dict[str, float]:
     out["fastsim_chain_eval_s"] = _best_of(
         lambda: algo.base_time(quiet, topo, 4 << 20), 5
     )
+    # the p-1 repeats of each ring phase share one Round: copy-per-round
+    # cost / reused cost, bit-identity checked from untimed calls
+    if str(ROOT) not in sys.path:  # the reference lives under tests/
+        sys.path.insert(0, str(ROOT))
+    from tests.simulator.round_reference import copy_per_round
+
+    ring = make_algorithm("allreduce", "segmented_ring", segsize=4096)
+
+    def ring_eval() -> float:
+        return ring.base_time(quiet, topo, 4 << 20)
+
+    reused = ring_eval()
+    with copy_per_round():
+        assert ring_eval() == reused
+        copied_s = _best_of(ring_eval, 3)
+    out["fastsim_round_reuse_speedup_x"] = copied_s / _best_of(ring_eval, 5)
 
     out.update(fleet_metrics(tuner))
     out.update(retrain_metrics())

@@ -23,6 +23,7 @@ rank.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -280,22 +281,16 @@ class AllreduceSegmentedRing(_AllreduceBase):
         # Reduction overlaps the next segment's transfer; each extra
         # segment costs its message overheads.
         extra = (nseg - 1) * 2 * machine.cpu_overhead
-        rs = [
-            r.__class__(
-                srcs=r.srcs, dsts=r.dsts, nbytes=r.nbytes,
-                compute_bytes=r.nbytes, overlap_compute=True,
-                extra_seconds=extra,
-            )
-            for r in ring_rounds(topo, block, p - 1)
-        ]
-        ag = [
-            r.__class__(
-                srcs=r.srcs, dsts=r.dsts, nbytes=r.nbytes,
-                compute_bytes=0, extra_seconds=extra,
-            )
-            for r in ring_rounds(topo, block, p - 1)
-        ]
-        return round_time(machine, topo, rs + ag)
+        # One round object per phase, repeated (see ``round_time``).
+        if p == 1:
+            return 0.0
+        (shift,) = ring_rounds(topo, block, 1)
+        rs = replace(
+            shift, compute_bytes=shift.nbytes, overlap_compute=True,
+            extra_seconds=extra,
+        )
+        ag = replace(shift, extra_seconds=extra)
+        return round_time(machine, topo, [rs] * (p - 1) + [ag] * (p - 1))
 
     def programs(
         self, topo: Topology, nbytes: int, initial=None

@@ -229,7 +229,11 @@ def ring_rounds(
     *,
     compute: bool = False,
 ) -> list[Round]:
-    """``num_rounds`` shifts of ``block`` bytes around the rank ring."""
+    """``num_rounds`` shifts of ``block`` bytes around the rank ring.
+
+    Every shift is the same :class:`Round` object, repeated, so
+    ``round_time`` costs it once (and adds it ``num_rounds`` times).
+    """
     p = topo.size
     if p == 1 or num_rounds == 0:
         return []

@@ -24,6 +24,8 @@ GATE_METRICS: dict[str, bool] = {
     "booster_fit_speedup_x": True,
     "campaign_samples_per_s": True,
     "fastsim_chain_eval_s": False,
+    # copy-per-round / reused segmented-ring cost, same process
+    "fastsim_round_reuse_speedup_x": True,
     "serve_batch64_speedup_x": True,
     "serve_cached_speedup_x": True,
     "serve_compiled_speedup_x": True,

@@ -912,7 +912,7 @@ class Fleet:
                 int(instance.get("nodes", 0)),
                 int(instance.get("ppn", 0)),
             )
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             # malformed: any worker can render the error
             return tuple(range(len(self.workers)))
 
@@ -1153,7 +1153,7 @@ class Fleet:
         try:
             slot = int(payload.get("worker", -1))
             handle = self.workers[slot]
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, ValueError, OverflowError, IndexError):
             return {
                 "ok": False,
                 "error": "ValueError: chaos needs a valid 'worker' index",

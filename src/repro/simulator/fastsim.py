@@ -308,6 +308,10 @@ class Round:
     then costs ``max(comm, compute)`` instead of their sum.
     ``extra_seconds`` is an additive per-round overhead (e.g. the
     per-segment message overheads of a segmented exchange).
+
+    A builder that repeats a round returns the *same object* for every
+    repeat; :func:`round_time` costs consecutive repeats once and still
+    adds that cost once per repeat, in order.
     """
 
     srcs: np.ndarray
@@ -353,10 +357,19 @@ def round_time(
     Bruck, pairwise) behave under a single-port model: rank ``r``
     cannot start round ``k+1`` before finishing round ``k``, and in the
     symmetric patterns used here the slowest edge gates everyone.
+
+    Consecutive repeats of one ``Round`` object are costed once; the
+    sum still adds one term per repeat in sequence order, so the result
+    is bit-identical to costing a fresh copy of every repeat.
     """
     node = topo.node_map
     total = 0.0
+    last: Round | None = None
+    cost = 0.0
     for rnd in rounds:
+        if rnd is last:
+            total += cost
+            continue
         srcs = np.asarray(rnd.srcs, dtype=np.int64)
         dsts = np.asarray(rnd.dsts, dtype=np.int64)
         if srcs.shape != dsts.shape:
@@ -393,7 +406,8 @@ def round_time(
         else:
             time = time + compute_time
         time += 2 * machine.cpu_overhead
-        total += float(time.max()) + rnd.extra_seconds
+        last, cost = rnd, float(time.max()) + rnd.extra_seconds
+        total += cost
     return total
 
 

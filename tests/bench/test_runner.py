@@ -1,12 +1,17 @@
 """Benchmark campaign runner -> PerfDataset."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.bench.repro_mpi import BenchmarkSpec
 from repro.bench.runner import DatasetRunner, GridSpec
-from repro.machine.zoo import tiny_testbed
+from repro.experiments.datasets import Scale, dataset_spec
+from repro.machine.zoo import get_machine, tiny_testbed
 from repro.mpilib import get_library
+
+from tests.simulator.round_reference import copy_per_round
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +180,32 @@ class TestParallelRunner:
         total = calls[-1][1]
         assert calls[-1][0] == total
         assert total == 63 * self.GRID.num_instances  # 63 bcast configs
+
+
+class TestRoundReuseCampaign:
+    """The d2 campaign with round reuse is array-equal to one costing a
+    fresh copy of every round, at any worker count."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_d2_campaign_matches_copy_per_round(self, seed):
+        spec = dataset_spec("d2")
+        grid = dataclasses.replace(spec.grid(Scale.CI), nodes=(4, 8))
+
+        def campaign(n_jobs):
+            runner = DatasetRunner(
+                get_machine(spec.machine), get_library(spec.library),
+                BenchmarkSpec(max_nreps=25), seed=seed,
+            )
+            return runner.run(
+                spec.collective, grid, name="d2-ci",
+                exclude_algids=spec.exclude_algids, n_jobs=n_jobs,
+            )
+
+        with copy_per_round():
+            reference = campaign(1)
+        for n_jobs in (1, 2):
+            reused = campaign(n_jobs)
+            for attr in ("config_id", "nodes", "ppn", "msize", "time"):
+                np.testing.assert_array_equal(
+                    getattr(reused, attr), getattr(reference, attr)
+                )

@@ -24,6 +24,7 @@ BASE = {
     "booster_fit_speedup_x": 8.0,
     "campaign_samples_per_s": 4000.0,
     "fastsim_chain_eval_s": 0.0005,
+    "fastsim_round_reuse_speedup_x": 500.0,
     "serve_batch64_speedup_x": 8.0,
     "serve_cached_speedup_x": 50.0,
     "serve_compiled_speedup_x": 6.0,

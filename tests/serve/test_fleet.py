@@ -176,6 +176,33 @@ class TestFailoverRouting:
         assert first_live_owner(chain, set(range(n_workers))) == chain[0]
         assert first_live_owner(chain, set()) is None
 
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            {"collective": "bcast", "nodes": json.loads("1e400"), "ppn": 1},
+            {"collective": "bcast", "nodes": 8, "ppn": float("-inf")},
+            {"collective": "bcast", "nodes": float("nan"), "ppn": 1},
+            {"collective": "bcast", "nodes": "x", "ppn": 1},
+            {"collective": "bcast", "nodes": None, "ppn": 1},
+        ],
+    )
+    def test_unroutable_instance_may_go_to_any_worker(self, instance):
+        fleet_obj = Fleet(FleetSpec(rules=(), workers=3))
+        fleet_obj.workers = [None] * 3  # routing reads only their count
+        assert fleet_obj._owners_of(instance) == (0, 1, 2)
+
+
+def test_chaos_infinite_worker_index_answers_error():
+    fleet_obj = Fleet(FleetSpec(rules=(), workers=2, chaos_ops=True))
+    fleet_obj.workers = [None] * 2
+    response = asyncio.run(fleet_obj._handle_chaos(
+        {"op": "chaos", "kind": "kill", "worker": json.loads("1e400")}
+    ))
+    assert response == {
+        "ok": False,
+        "error": "ValueError: chaos needs a valid 'worker' index",
+    }
+
 
 class TestReloadGate:
     def _run(self, coro):
@@ -617,6 +644,28 @@ class TestFleetEndToEnd:
                 assert client.reader.readline() == ""  # then closed
             finally:
                 client.close()
+
+    def test_infinite_route_value_answers_error(self, fleet):
+        """``1e400`` parses to inf, which ``int()`` cannot route; the
+        fleet must still answer ok:false and keep the connection."""
+        client = _Client(fleet.port)
+        try:
+            for line in (
+                '{"op": "recommend", "collective": "bcast",'
+                ' "nodes": 1e400, "ppn": 16, "msize": 4096}',
+                '{"op": "recommend_many", "instances": [{"collective":'
+                ' "bcast", "nodes": 8, "ppn": 1e400, "msize": 4096}]}',
+            ):
+                client.sock.sendall((line + "\n").encode())
+                response = json.loads(client.reader.readline())
+                assert response["ok"] is False
+            after = client.ask(
+                {"op": "recommend", "collective": "bcast", "nodes": 8,
+                 "ppn": 16, "msize": 4096}
+            )
+            assert after["ok"]
+        finally:
+            client.close()
 
     def test_reload_under_fire_drops_and_mixes_nothing(
         self, fleet, rules_pair

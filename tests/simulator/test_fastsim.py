@@ -1,14 +1,18 @@
 """Fast-tier evaluators: segments, pipeline scan, rounds, linear sweeps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.collectives import trees
+from repro.collectives.registry import algorithm_from_config
 from repro.machine.model import NoiseModel
 from repro.machine.topology import Topology
 from repro.machine.zoo import tiny_testbed
+from repro.mpilib import get_library
 from repro.simulator.fastsim import (
     Round,
     contention_counts,
@@ -18,6 +22,8 @@ from repro.simulator.fastsim import (
     segment_sizes,
 )
 from repro.simulator.fastsim import _pipeline_scan
+
+from tests.simulator.round_reference import copy_per_round
 
 QUIET = tiny_testbed.with_noise(NoiseModel(sigma=0.0, spike_prob=0.0, floor=0.0))
 
@@ -222,6 +228,76 @@ class TestRoundTime:
                 QUIET, Topology(2, 1),
                 [Round.make([0, 1], [1], 10)],
             )
+
+
+@st.composite
+def _round(draw, p: int) -> Round:
+    """One round over ``p`` ranks: maybe no edges, scalar or per-edge
+    byte counts, either compute mode, maybe an additive overhead."""
+    k = draw(st.integers(0, 2 * p))
+    ranks = st.integers(0, p - 1)
+    srcs = draw(st.lists(ranks, min_size=k, max_size=k))
+    dsts = draw(st.lists(ranks, min_size=k, max_size=k))
+    sizes = st.integers(0, 1 << 22)
+    nbytes = draw(st.one_of(sizes, st.lists(sizes, min_size=k, max_size=k)))
+    compute = draw(st.one_of(sizes, st.lists(sizes, min_size=k, max_size=k)))
+    return Round.make(
+        srcs, dsts, nbytes, compute,
+        overlap_compute=draw(st.booleans()),
+        extra_seconds=draw(st.one_of(
+            st.just(0.0), st.floats(0.0, 1e-3, allow_subnormal=False)
+        )),
+    )
+
+
+class TestRoundReuse:
+    """A repeated ``Round`` object is costed once; the total must equal,
+    bit for bit, costing a fresh copy of every repeat."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        nodes=st.integers(1, 4),
+        ppn=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_equals_copy_per_round(self, nodes, ppn, data):
+        topo = Topology(nodes, ppn)
+        pool = data.draw(st.lists(_round(topo.size), min_size=1, max_size=4))
+        picks = data.draw(st.lists(
+            st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 6)),
+            max_size=8,
+        ))
+        rounds = [pool[i] for i, repeat in picks for _ in range(repeat)]
+        copies = [dataclasses.replace(r) for r in rounds]
+        assert round_time(QUIET, topo, rounds) == round_time(QUIET, topo, copies)
+
+    @pytest.mark.parametrize(
+        "collective", ["allreduce", "allgather", "bcast", "reduce", "alltoall"]
+    )
+    def test_every_open_mpi_algorithm_matches_reference(self, collective):
+        algos = [
+            algorithm_from_config(config)
+            for config in get_library("Open MPI").config_space(collective).configs
+        ]
+        cases = [
+            (topo, nbytes)
+            for topo in (Topology(1, 1), Topology(3, 1), Topology(4, 8),
+                         Topology(5, 3))
+            for nbytes in (0, 1, 1 << 20)
+        ]
+
+        def costs():
+            return [
+                [algo.base_time(QUIET, topo, m) for topo, m in cases
+                 if algo.supported(topo, m)]
+                for algo in algos
+            ]
+
+        reused = costs()
+        with copy_per_round():
+            reference = costs()
+        for algo, got, want in zip(algos, reused, reference, strict=True):
+            assert got == want, algo.config.label
 
 
 class TestLinearTime:
