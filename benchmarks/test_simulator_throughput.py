@@ -5,7 +5,9 @@ recurrences the exact engine resolves event by event, but in
 milliseconds — a 1152-rank, 1024-segment chain broadcast must evaluate
 fast enough that a ~70k-sample campaign takes minutes (>= ~50 evals/s),
 and the exact engine must be >100x slower on the same instance (which
-is why it is reserved for verification).
+is why it is reserved for verification). A ring's ``p - 1`` repeats of
+one round are costed once: bit-identical to costing every repeat, and
+>= 100x cheaper at 1152 ranks (``fastsim_round_reuse_speedup_x``).
 """
 
 import pytest
@@ -14,6 +16,7 @@ from repro.collectives.registry import make_algorithm
 from repro.machine.model import NoiseModel
 from repro.machine.topology import Topology
 from repro.machine.zoo import hydra
+from tests.simulator.round_reference import copy_per_round
 
 QUIET = hydra.with_noise(NoiseModel(sigma=0.0, spike_prob=0.0, floor=0.0))
 
@@ -35,6 +38,27 @@ def test_fastsim_round_pattern_throughput(benchmark):
     t = benchmark(algo.base_time, QUIET, topo, 1 << 20)
     assert t > 0
     assert benchmark.stats["min"] < 0.2
+
+
+def test_fastsim_round_reuse_100x(best_ratio, record_property):
+    ring = make_algorithm("allreduce", "segmented_ring", segsize=4096)
+    topo = Topology(36, 32)
+
+    def ring_eval() -> float:
+        return ring.base_time(QUIET, topo, 4 << 20)
+
+    def copied_eval() -> float:
+        with copy_per_round():
+            return ring_eval()
+
+    # Parity first: reuse must add up to the copy-per-round cost exactly.
+    assert copied_eval() == ring_eval()
+    speedup = best_ratio(copied_eval, ring_eval, rounds=7)
+    record_property("fastsim_round_reuse_speedup_x", speedup)
+    print(f"\nsegmented ring round reuse {speedup:.0f}x over copy-per-round")
+    assert speedup >= 100.0, (
+        f"round reuse only {speedup:.0f}x faster than copy-per-round"
+    )
 
 
 @pytest.mark.slow

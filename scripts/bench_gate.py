@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """CI bench regression gate.
 
-Compares a freshly measured bench report against the committed
-``BENCH_<pr>.json`` baseline on the headline metrics
-(:data:`repro.obs.gate.GATE_METRICS`) and exits non-zero when any
-metric regressed beyond the failure threshold (default 25%; warnings
-at 10%). The comparison logic lives in :mod:`repro.obs.gate` where it
-is unit-tested — this script is only argument plumbing.
+Compares a fresh bench report against the highest-numbered committed
+``BENCH_<pr>.json`` on the same-process speedup ratios
+(:data:`repro.obs.gate.GATE_METRICS`) and exits non-zero when any ratio
+dropped beyond the failure threshold (25%; warnings at 10%) or is
+absent from the fresh report. The comparison logic lives in
+:mod:`repro.obs.gate` where it is unit-tested — this script is only
+argument plumbing.
 
 Usage (what ``.github/workflows/ci.yml`` runs)::
 
-    PYTHONPATH=src python scripts/bench_report.py --pr 2 --skip-pytest \
+    PYTHONPATH=src python scripts/bench_report.py --pr 0 \
         --out fresh_bench.json
     PYTHONPATH=src python scripts/bench_gate.py --current fresh_bench.json
 """
@@ -25,8 +26,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.obs.gate import (  # noqa: E402  (path bootstrap above)
-    FAIL_FRAC,
-    WARN_FRAC,
     compare_reports,
     gate_verdict,
     latest_committed_report,
@@ -39,24 +38,12 @@ def main() -> int:
         "--current", type=Path, required=True,
         help="freshly measured bench report (scripts/bench_report.py --out)",
     )
-    parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help="baseline report (default: highest-numbered BENCH_*.json "
-        "at the repo root)",
-    )
-    parser.add_argument("--warn", type=float, default=WARN_FRAC,
-                        help="warn threshold as a fraction (default 0.10)")
-    parser.add_argument("--fail", type=float, default=FAIL_FRAC,
-                        help="fail threshold as a fraction (default 0.25)")
     args = parser.parse_args()
 
-    baseline = args.baseline or latest_committed_report(ROOT)
+    baseline = latest_committed_report(ROOT)
     print(f"baseline: {baseline}")
     print(f"current:  {args.current}")
-    results = compare_reports(
-        baseline, args.current, warn_frac=args.warn, fail_frac=args.fail
-    )
-    passed, text = gate_verdict(results)
+    passed, text = gate_verdict(compare_reports(baseline, args.current))
     print(text)
     return 0 if passed else 1
 

@@ -24,9 +24,8 @@ analytical models as a cheap prior):
    no coverage) the full supported-configuration column at that
    instance is re-measured.
 3. ``budget_frac = measured_samples / full_grid_samples`` — the
-   headline number :mod:`scripts.bench_report` exports as
-   ``retrain_budget_frac`` and the gate keeps ≤ the naive full-grid
-   refit.
+   headline number ``tests/core/test_retrain.py`` holds to at most
+   half the naive full-grid refit, at equal selection agreement.
 
 Re-measured instances *replace* the stale base rows at those sites
 (mixing pre- and post-shift samples of the same configuration would

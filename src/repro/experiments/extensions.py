@@ -297,7 +297,7 @@ def randomized_split(
     # (a) the paper's node split.
     node_train, node_test = split_dataset(dataset, scale)
 
-    for factory in PAPER_LEARNERS.values():
+    for name, factory in PAPER_LEARNERS.items():
         node_sel = AlgorithmSelector(factory).fit(node_train)
         node_speedup = evaluate_selector(
             node_sel, node_test, library, machine

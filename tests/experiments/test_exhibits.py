@@ -123,6 +123,20 @@ class TestTables:
             assert row_s[-1] > row_l[-1] * 0.7
 
 
+class TestRandomizedSplit:
+    def test_rows_labelled_by_learner(self, monkeypatch):
+        from repro.experiments import extensions
+        from repro.ml import PAPER_LEARNERS
+
+        monkeypatch.setattr(
+            extensions, "PAPER_LEARNERS", {"KNN": PAPER_LEARNERS["KNN"]}
+        )
+        table = extensions.randomized_split(Scale.CI)
+        assert [row[0] for row in table.rows] == ["KNN"]
+        _, node_speedup, random_speedup = table.rows[0]
+        assert node_speedup > 0 and random_speedup > 0
+
+
 class TestE1OnlineVsOffline:
     """E1 with the closed-loop strategy from the serve→retrain loop."""
 
@@ -151,7 +165,7 @@ class TestE1OnlineVsOffline:
         assert closed < online
         # ...and within a bounded insurance premium over the pure
         # offline pick in this drift-free world (the payoff under an
-        # actual shift is measured by retrain_metrics in bench_report).
+        # actual shift is asserted in tests/core/test_retrain.py).
         assert closed < offline * 1.5
 
     def test_waste_shares_sum_to_100(self, table):
