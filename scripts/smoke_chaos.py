@@ -8,10 +8,12 @@ Four phases (the fault-injected sibling of ``smoke_resume.py``):
 2. **Chaos reference** — same campaign under ``FaultSpec.uniform``
    fault injection (stragglers, jitter, lost observations, chunk
    crashes, torn journal writes), uninterrupted.
-3. **Interrupt + resume** — rerun the chaos campaign, kill it at ~40%
-   via the progress callback, then resume through the real CLI
+3. **Interrupt + resume** — ``smoke_resume.interrupt_resume_report``
+   with the same faults: rerun the chaos campaign, kill it at ~40% via
+   the progress callback, then resume through the real CLI
    (``generate --chaos --resume``) and verify the result is
-   **bit-identical** to the chaos reference, column by column.
+   **bit-identical** to the chaos reference, column by column, and
+   that ``report`` digests its telemetry log.
 4. **Selection divergence** — train one selector per dataset and
    require the selections to agree on at least ``SMOKE_CHAOS_TOL``
    (default 95%) of the instance grid. A differing pick still counts
@@ -32,25 +34,22 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+from smoke_resume import (
+    DID,
+    SEED,
+    SmokeFailure,
+    interrupt_resume_report,
+)
 
-from repro.bench.faults import FaultSpec  # noqa: E402
-from repro.cli import main as cli_main  # noqa: E402
-from repro.core.dataset import PerfDataset  # noqa: E402
-from repro.core.selector import AlgorithmSelector  # noqa: E402
-from repro.experiments.datasets import generate_dataset  # noqa: E402
-from repro.ml import KNNRegressor  # noqa: E402
+from repro.bench.faults import FaultSpec
+from repro.core.dataset import PerfDataset
+from repro.core.selector import AlgorithmSelector
+from repro.experiments.datasets import generate_dataset
+from repro.ml import KNNRegressor
 
-DID = os.environ.get("SMOKE_DATASET", "d1")
-SEED = 0
 RATE = float(os.environ.get("SMOKE_CHAOS_RATE", "0.05"))
 TOL = float(os.environ.get("SMOKE_CHAOS_TOL", "0.95"))
 TIE = float(os.environ.get("SMOKE_CHAOS_TIE", "0.02"))
-
-
-class _InjectedInterrupt(KeyboardInterrupt):
-    """The crash we inject (subclass so we never swallow a real ^C)."""
 
 
 def fit(dataset: PerfDataset) -> AlgorithmSelector:
@@ -78,8 +77,6 @@ def agreement_rate(oracle: PerfDataset, chaos: PerfDataset) -> float:
 
 def main() -> int:
     workdir = Path(tempfile.mkdtemp(prefix="smoke-chaos-"))
-    cli_dir = workdir / "cli-cache"
-    cli_dir.mkdir(parents=True)
     jobs = os.environ.get("REPRO_JOBS", "1")
     faults = FaultSpec.uniform(RATE, seed=SEED)
     print(f"workdir={workdir} dataset={DID} rate={RATE} REPRO_JOBS={jobs}")
@@ -94,47 +91,13 @@ def main() -> int:
     print(f"chaos reference: {len(reference)} samples")
 
     # -- phase 3: interrupt mid-campaign, resume through the CLI ------
-    stem = cli_dir / f"{DID}-ci-s{SEED}"
-
-    def interrupt_at_40pct(done: int, total: int) -> None:
-        if done >= total * 0.4:
-            raise _InjectedInterrupt
-
     try:
-        generate_dataset(
-            DID, "ci", seed=SEED, faults=faults,
-            checkpoint=stem, progress=interrupt_at_40pct,
+        resumed = interrupt_resume_report(
+            reference, workdir, faults=faults, cli_args=("--chaos", str(RATE)),
         )
-    except _InjectedInterrupt:
-        pass
-    else:
-        print("FAIL: injected interrupt never fired", file=sys.stderr)
+    except SmokeFailure as exc:
+        print(f"FAIL: chaos {exc}", file=sys.stderr)
         return 1
-    print("interrupted chaos campaign at ~40%")
-
-    os.environ["REPRO_CACHE_DIR"] = str(cli_dir)
-    telemetry = workdir / "chaos.jsonl"
-    code = cli_main([
-        "generate", DID, "--scale", "ci", "--seed", str(SEED),
-        "--chaos", str(RATE), "--resume", "--telemetry", str(telemetry),
-    ])
-    if code != 0:
-        print(f"FAIL: chaos resume exited {code}", file=sys.stderr)
-        return 1
-    resumed = PerfDataset.load(stem)
-
-    mismatches = [
-        column
-        for column in ("config_id", "nodes", "ppn", "msize", "time")
-        if not np.array_equal(
-            getattr(reference, column), getattr(resumed, column)
-        )
-    ]
-    if mismatches:
-        print(f"FAIL: columns differ after chaos resume: {mismatches}",
-              file=sys.stderr)
-        return 1
-    print(f"chaos resume bit-identical ({len(resumed)} samples)")
 
     # -- phase 4: selection divergence vs the oracle ------------------
     agreement = agreement_rate(oracle, resumed)
@@ -143,11 +106,6 @@ def main() -> int:
     if agreement < TOL:
         print(f"FAIL: agreement {agreement:.1%} below tolerance {TOL:.0%}",
               file=sys.stderr)
-        return 1
-
-    code = cli_main(["report", "--telemetry", str(telemetry), "--top", "5"])
-    if code != 0:
-        print(f"FAIL: report exited {code}", file=sys.stderr)
         return 1
     print(f"OK: chaos campaign at {RATE:.0%} fault rate survived "
           f"(REPRO_JOBS={jobs})")

@@ -5,16 +5,19 @@ What an operator's first day with ``mpicollpred serve --workers N``
 looks like, end to end through the real CLI entry point:
 
 1. **Boot** — ``python -m repro.cli serve --workers 2 --port 0 --rules
-   hydra_bcast_rules.conf`` as a subprocess; parse the listening port
-   from its stderr.
-2. **Fire** — background client threads hammer ``recommend`` /
-   ``recommend_many`` over the socket while the foreground flips the
-   live rules back and forth with coordinated ``reload`` requests.
+   hydra_bcast_rules.conf`` as a subprocess
+   (:class:`repro.serve.fleet.FleetProcess`).
+2. **Fire** — :func:`repro.serve.chaos.reload_under_fire`: client
+   threads hammer ``recommend`` / ``recommend_many`` over the socket
+   while coordinated ``reload`` requests flip the live rules back and
+   forth, then a reload of a missing file must be rejected.
 3. **Contract** — zero failed responses, zero dropped connections, no
-   response mixing model versions, and every client observes versions
-   monotonically (the two-phase barrier at work).
-4. **Scrape** — ``curl http://…/metrics`` (urllib fallback when curl is
-   absent) must return well-formed Prometheus text containing
+   response mixing model versions, every client observes versions
+   monotonically (the two-phase barrier at work), no version skew in
+   ``stats``.
+4. **Scrape** — ``curl http://…/metrics`` (``http_get`` when curl is
+   absent) must pass :func:`repro.serve.chaos.verify_metrics_scrape`:
+   well-formed Prometheus text with a positive
    ``serve_compiled_hits_total`` and the request-latency histogram with
    p50/p99/p999.
 5. **Shutdown** — SIGTERM must exit 0.
@@ -24,228 +27,56 @@ Exits non-zero on any violation.
 
 from __future__ import annotations
 
-import json
-import os
-import re
 import shutil
-import signal
-import socket
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.serve.chaos import (  # noqa: E402
+    reload_under_fire,
+    verify_metrics_scrape,
+)
+from repro.serve.fleet import FleetProcess, http_get  # noqa: E402
 
 RULES = ("hydra_bcast_rules.conf", "quickstart_rules.conf")
-HAMMER_THREADS = 4
-RELOAD_ROUNDS = 6
-
-#: every metric line: name, optional {labels}, value
-METRIC_LINE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*"
-    r'(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"'
-    r'(,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\})?'
-    r" (?:[+-]?(?:\d+(?:\.\d+)?(?:e[+-]?\d+)?|Inf)|NaN)$"
-)
+WORKERS = 2
 
 
-def boot_fleet() -> tuple[subprocess.Popen, int]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--workers", "2", "--port", "0", "--rules", RULES[0]],
-        cwd=ROOT, env=env, stderr=subprocess.PIPE, text=True,
-    )
-    port = None
-    for line in proc.stderr:
-        sys.stderr.write(f"  fleet| {line}")
-        match = re.search(r"listening on [\d.]+:(\d+)", line)
-        if match:
-            port = int(match.group(1))
-            break
-    if port is None:
-        raise RuntimeError("fleet never printed its listening line")
-    # keep draining stderr so the child never blocks on a full pipe
-    threading.Thread(
-        target=lambda: [None for _ in proc.stderr], daemon=True
-    ).start()
-    return proc, port
-
-
-class Client:
-    def __init__(self, port: int) -> None:
-        self.sock = socket.create_connection(("127.0.0.1", port), timeout=60)
-        self.reader = self.sock.makefile("r", encoding="utf-8")
-
-    def ask(self, payload: dict) -> dict:
-        self.sock.sendall((json.dumps(payload) + "\n").encode())
-        line = self.reader.readline()
-        if not line:
-            raise ConnectionError("dropped response")
-        return json.loads(line)
-
-    def close(self) -> None:
-        self.sock.close()
-
-
-def hammer(port: int, seed: int, stop: threading.Event,
-           failures: list, versions: list) -> None:
-    try:
-        client = Client(port)
-        n = 0
-        while not stop.is_set():
-            n += 1
-            if n % 4 == 0:
-                response = client.ask({
-                    "op": "recommend_many",
-                    "instances": [
-                        {"collective": "bcast", "nodes": 4 << (seed % 3),
-                         "ppn": 8, "msize": 1024 * (1 + n % 7)},
-                        {"collective": "bcast", "nodes": 16,
-                         "ppn": 2 << (seed % 4), "msize": 65536},
-                    ],
-                })
-                if not response.get("ok"):
-                    failures.append(response)
-                    continue
-                batch = {r["version"] for r in response["results"]}
-                if len(batch) != 1:
-                    failures.append({"mixed-version response": response})
-                versions.append(max(batch))
-            else:
-                response = client.ask({
-                    "op": "recommend", "collective": "bcast",
-                    "nodes": 2 << (n % 5), "ppn": 1 + seed,
-                    "msize": 512 << (n % 8),
-                })
-                if not response.get("ok"):
-                    failures.append(response)
-                else:
-                    versions.append(response["version"])
-        client.close()
-    except Exception as exc:
-        failures.append(f"{type(exc).__name__}: {exc}")
-
-
-def scrape_metrics(port: int) -> str:
+def scrape_metrics(port: int) -> tuple[str, str]:
+    """The ``/metrics`` body and the tool that fetched it."""
     url = f"http://127.0.0.1:{port}/metrics"
     curl = shutil.which("curl")
     if curl:
         return subprocess.run(
             [curl, "-sSf", url], check=True, capture_output=True, text=True,
             timeout=60,
-        ).stdout
-    from urllib.request import urlopen
-
-    with urlopen(url, timeout=60) as response:
-        return response.read().decode("utf-8")
-
-
-def check_metrics(body: str) -> list[str]:
-    problems = []
-    metric_lines = []
-    for line in body.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        if not METRIC_LINE.match(line):
-            problems.append(f"malformed metric line: {line!r}")
-        metric_lines.append(line)
-    if not any(
-        line.startswith("serve_compiled_hits_total ")
-        and float(line.split()[-1]) > 0
-        for line in metric_lines
-    ):
-        problems.append("no positive serve_compiled_hits_total")
-    if not any(
-        line.startswith("fleet_request_latency_us_bucket")
-        for line in metric_lines
-    ):
-        problems.append("no fleet_request_latency_us histogram buckets")
-    for quantile in ("p50", "p99", "p999"):
-        if f"fleet_request_latency_us_{quantile} " not in body:
-            problems.append(f"missing latency quantile {quantile}")
-    if not body.endswith("# EOF\n"):
-        problems.append("scrape does not end with # EOF")
-    return problems
+        ).stdout, "curl"
+    return http_get("127.0.0.1", port, "/metrics")[1], "http_get"
 
 
 def main() -> int:
-    proc, port = boot_fleet()
-    failures: list = []
-    per_client_versions: list[list[int]] = []
+    fleet = FleetProcess("--workers", str(WORKERS), "--rules", RULES[0],
+                         cwd=ROOT)
     try:
-        stop = threading.Event()
-        threads = []
-        for seed in range(HAMMER_THREADS):
-            versions: list[int] = []
-            per_client_versions.append(versions)
-            thread = threading.Thread(
-                target=hammer, args=(port, seed, stop, failures, versions)
-            )
-            thread.start()
-            threads.append(thread)
-
-        admin = Client(port)
-        for round_ in range(RELOAD_ROUNDS):
-            response = admin.ask(
-                {"op": "reload", "path": RULES[round_ % len(RULES)]}
-            )
-            if not response.get("ok") or response.get("workers") != 2:
-                failures.append({"reload failed": response})
-        # a rejected reload must not disturb the fleet
-        rejected = admin.ask({"op": "reload", "path": "/nonexistent.conf"})
-        if rejected.get("ok"):
-            failures.append("reload of a nonexistent file claimed ok")
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=60)
-
-        stats = admin.ask({"op": "stats"})
-        if not stats.get("ok"):
-            failures.append({"stats failed": stats})
-        elif not stats["stats"]["fleet"]["versions_consistent"]:
-            failures.append({"version skew in stats": stats})
-        admin.close()
-
-        total = sum(len(v) for v in per_client_versions)
-        print(f"hammered {total} requests across {HAMMER_THREADS} clients, "
-              f"{RELOAD_ROUNDS} reloads")
-        if total == 0:
-            failures.append("hammer threads completed zero requests")
-        for versions in per_client_versions:
-            if versions != sorted(versions):
-                failures.append("client observed versions going backwards")
-        if per_client_versions and max(
-            (max(v) for v in per_client_versions if v), default=0
-        ) <= 1:
-            failures.append("reloads never landed mid-traffic")
-
-        body = scrape_metrics(port)
-        problems = check_metrics(body)
-        failures.extend(problems)
-        print(f"scraped {len(body.splitlines())} metric-text lines "
-              f"({'curl' if shutil.which('curl') else 'urllib'})")
+        failures, load = reload_under_fire(fleet.port, RULES, WORKERS)
+        print(load)
+        body, tool = scrape_metrics(fleet.port)
+        failures.extend(verify_metrics_scrape(body))
+        print(f"scraped {len(body.splitlines())} metric-text lines ({tool})")
     finally:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            code = proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            failures.append("fleet did not exit on SIGTERM")
-            code = proc.wait()
-    if code != 0:
-        failures.append(f"fleet exited {code} on SIGTERM")
+        shutdown = fleet.stop()
+    failures.extend(shutdown)
 
     if failures:
         for failure in failures[:20]:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     print(f"OK: zero failed responses, no mixed versions, "
-          f"metrics scrape well-formed, clean shutdown (exit {code})")
+          f"metrics scrape well-formed, clean shutdown "
+          f"(exit {fleet.returncode})")
     return 0
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI smoke test: the fleet's self-healing under a seeded fault plan.
 
-The acceptance bar of ISSUE 8, end to end through the real CLI:
+The self-healing acceptance bar, end to end through the real CLI:
 
 1. **Plan** — :func:`repro.serve.chaos.build_plan` schedules, purely
    from a seed, a kill of *every* worker in an early stratum, a crash
@@ -24,7 +24,8 @@ The acceptance bar of ISSUE 8, end to end through the real CLI:
    stripped — *which* cache answered may differ after a respawn, the
    answer itself may not); the reload committed exactly once with no
    version skew; ``fleet_worker_restarts_total >= workers``; garbage
-   lines were actually skipped; final ``/healthz`` is ``ok``.
+   lines were actually skipped; final ``/healthz`` is ``ok``; both
+   fleets exit 0 on SIGTERM.
 
 Exits non-zero on any violation.
 """
@@ -32,13 +33,7 @@ Exits non-zero on any violation.
 from __future__ import annotations
 
 import json
-import os
-import re
-import signal
-import socket
-import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -51,15 +46,14 @@ from repro.serve.chaos import (  # noqa: E402
     verify_bit_identity,
     verify_chaos_invariants,
     verify_reload_contract,
+    wait_for_healthy,
 )
-from repro.serve.fleet import http_get  # noqa: E402
+from repro.serve.fleet import FleetClient, FleetProcess, http_get  # noqa: E402
 
 SEED = 8
 WORKERS = 3
 N_REQUESTS = 5000
 RULES = "hydra_bcast_rules.conf"
-CALL_TIMEOUT_S = "2"
-HEAL_TIMEOUT_S = 60.0
 
 #: the deterministic request mix: every index maps to one allocation
 NODES = (2, 4, 8, 16, 34)
@@ -77,119 +71,49 @@ def request_at(index: int) -> dict:
     }
 
 
-def boot_fleet(chaos_ops: bool) -> tuple[subprocess.Popen, int]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+def boot(*extra: str) -> FleetProcess:
+    return FleetProcess(
+        "--workers", str(WORKERS), "--rules", RULES, "--call-timeout", "2",
+        "--max-worker-restarts", "8", "--queue-depth", "256", *extra,
+        cwd=ROOT,
     )
-    cmd = [
-        sys.executable, "-m", "repro.cli", "serve",
-        "--workers", str(WORKERS), "--port", "0", "--rules", RULES,
-        "--call-timeout", CALL_TIMEOUT_S,
-        "--max-worker-restarts", "8", "--queue-depth", "256",
-    ]
-    if chaos_ops:
-        cmd.append("--chaos-ops")
-    proc = subprocess.Popen(
-        cmd, cwd=ROOT, env=env, stderr=subprocess.PIPE, text=True,
-    )
-    port = None
-    for line in proc.stderr:
-        match = re.search(r"listening on [\d.]+:(\d+)", line)
-        if match:
-            port = int(match.group(1))
-            break
-    if port is None:
-        raise RuntimeError("fleet never printed its listening line")
-    # keep draining stderr so the child never blocks on a full pipe
-    threading.Thread(
-        target=lambda: [None for _ in proc.stderr], daemon=True
-    ).start()
-    return proc, port
-
-
-class Client:
-    def __init__(self, port: int) -> None:
-        self.sock = socket.create_connection(("127.0.0.1", port), timeout=60)
-        self.reader = self.sock.makefile("r", encoding="utf-8")
-
-    def ask(self, payload: dict) -> dict:
-        self.sock.sendall((json.dumps(payload) + "\n").encode())
-        line = self.reader.readline()
-        if not line:
-            raise ConnectionError("dropped response")
-        return json.loads(line)
-
-    def close(self) -> None:
-        self.sock.close()
-
-
-def healthz(port: int) -> dict:
-    return json.loads(http_get("127.0.0.1", port, "/healthz")[1])
-
-
-def metric_value(port: int, name: str) -> float:
-    for line in http_get("127.0.0.1", port, "/metrics")[1].splitlines():
-        if line.startswith(f"{name} "):
-            return float(line.split()[-1])
-    return 0.0
-
-
-def wait_for_healthy(port: int, failures: list) -> None:
-    """Block until every worker is alive and nothing is restarting.
-
-    This is the pacing rule that makes the campaign total-outage-free
-    by construction: a new fault only fires once the previous victim
-    has fully rejoined the ring.
-    """
-    deadline = time.time() + HEAL_TIMEOUT_S
-    while time.time() < deadline:
-        health = healthz(port)
-        if (
-            health.get("status") == "ok"
-            and health.get("alive") == WORKERS
-            and not health.get("restarting")
-        ):
-            return
-        time.sleep(0.05)
-    failures.append(f"fleet never re-healed: {healthz(port)}")
 
 
 def run_campaign(
-    port: int, plan, failures: list, chaos: bool
+    client: FleetClient, port: int, plan, failures: list, chaos: bool
 ) -> tuple[list[dict], dict]:
     """Walk the request sequence; returns (answers, reload_response)."""
-    client = Client(port)
     answers: list[dict] = []
     reload_response: dict = {}
-    try:
-        for index in range(N_REQUESTS):
-            event = plan.at(index) if chaos else None
-            if event is not None:
-                if event.kind in ("kill", "crash", "wedge"):
-                    wait_for_healthy(port, failures)
-                fired = client.ask({
-                    "op": "chaos", "kind": event.kind,
-                    "worker": event.worker,
-                })
-                if not fired.get("ok"):
-                    failures.append({"chaos op failed": fired})
-            if index == plan.reload_at:
-                # in the chaos campaign the wedge just landed: the
-                # reload's prepare phase now meets an unresponsive
-                # worker and must commit without it
-                reload_response = client.ask(
-                    {"op": "reload", "path": RULES}
-                )
-                if not reload_response.get("ok"):
-                    failures.append({"reload failed": reload_response})
-            response = client.ask(request_at(index))
-            if not response.get("ok"):
-                failures.append({f"request {index} failed": response})
-            answers.append(strip_provenance(response))
-    finally:
-        client.close()
+    for index in range(N_REQUESTS):
+        event = plan.at(index) if chaos else None
+        if event is not None:
+            if event.kind in ("kill", "crash", "wedge"):
+                failures.extend(wait_for_healthy(port, WORKERS))
+            fired = client.ask(
+                {"op": "chaos", "kind": event.kind, "worker": event.worker}
+            )
+            if not fired.get("ok"):
+                failures.append({"chaos op failed": fired})
+        if index == plan.reload_at:
+            # in the chaos campaign the wedge just landed: the reload's
+            # prepare phase now meets an unresponsive worker and must
+            # commit without it
+            reload_response = client.ask({"op": "reload", "path": RULES})
+            if not reload_response.get("ok"):
+                failures.append({"reload failed": reload_response})
+        response = client.ask(request_at(index))
+        if not response.get("ok"):
+            failures.append({f"request {index} failed": response})
+        answers.append(strip_provenance(response))
     return answers, reload_response
+
+
+def metric_values(port: int, *names: str) -> list[float]:
+    lines = http_get("127.0.0.1", port, "/metrics")[1].splitlines()
+    values = dict(line.split(" ", 1) for line in lines
+                  if line and not line.startswith("#"))
+    return [float(values.get(name, 0.0)) for name in names]
 
 
 def main() -> int:
@@ -199,34 +123,27 @@ def main() -> int:
     failures: list = []
 
     # -- the chaos campaign -------------------------------------------
-    proc, port = boot_fleet(chaos_ops=True)
+    fleet = boot("--chaos-ops")
     t0 = time.time()
     try:
-        chaos_answers, chaos_reload = run_campaign(
-            port, plan, failures, chaos=True
-        )
-        wait_for_healthy(port, failures)
-        restarts = metric_value(port, "fleet_worker_restarts_total")
-        garbage = metric_value(port, "fleet_worker_garbage_lines_total")
-        failovers = metric_value(port, "fleet_failover_retries_total")
-        health = healthz(port)
-        admin = Client(port)
-        stats = admin.ask({"op": "stats"})["stats"]["fleet"]
-        admin.close()
+        with FleetClient(fleet.port) as client:
+            chaos_answers, chaos_reload = run_campaign(
+                client, fleet.port, plan, failures, chaos=True
+            )
+            failures.extend(wait_for_healthy(fleet.port, WORKERS))
+            restarts, garbage, failovers = metric_values(
+                fleet.port, "fleet_worker_restarts_total",
+                "fleet_worker_garbage_lines_total",
+                "fleet_failover_retries_total",
+            )
+            health = json.loads(http_get("127.0.0.1", fleet.port,
+                                         "/healthz")[1])
+            stats = client.ask({"op": "stats"})["stats"]["fleet"]
     finally:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            code = proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            failures.append("chaos fleet did not exit on SIGTERM")
-            code = proc.wait()
-    if code != 0:
-        failures.append(f"chaos fleet exited {code} on SIGTERM")
+        failures.extend(f"chaos {failure}" for failure in fleet.stop())
     print(f"chaos campaign: {len(chaos_answers)} answers in "
           f"{time.time() - t0:.1f}s; restarts={restarts:.0f} "
           f"garbage={garbage:.0f} failovers={failovers:.0f}")
-
     failures.extend(
         verify_chaos_invariants(
             n_workers=WORKERS, restarts=restarts, garbage=garbage,
@@ -235,22 +152,15 @@ def main() -> int:
     )
 
     # -- the fault-free oracle ----------------------------------------
-    proc, port = boot_fleet(chaos_ops=False)
+    fleet = boot()
     t0 = time.time()
     try:
-        clean_answers, clean_reload = run_campaign(
-            port, plan, failures, chaos=False
-        )
+        with FleetClient(fleet.port) as client:
+            clean_answers, clean_reload = run_campaign(
+                client, fleet.port, plan, failures, chaos=False
+            )
     finally:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            code = proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            failures.append("oracle fleet did not exit on SIGTERM")
-            code = proc.wait()
-    if code != 0:
-        failures.append(f"oracle fleet exited {code} on SIGTERM")
+        failures.extend(f"oracle {failure}" for failure in fleet.stop())
     print(f"oracle campaign: {len(clean_answers)} answers in "
           f"{time.time() - t0:.1f}s")
 

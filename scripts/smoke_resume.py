@@ -11,8 +11,10 @@ Three phases, mirroring what an operator would live through:
    verify the result is **bit-identical** to the reference, column by
    column.
 
-Honors ``REPRO_JOBS``, so the CI matrix exercises serial and parallel
-resumes. Exits non-zero on any mismatch.
+Phases 2 and 3 are :func:`interrupt_resume_report`, which
+``smoke_chaos.py`` reuses for its fault-injected campaign. Honors
+``REPRO_JOBS``, so the CI matrix exercises serial and parallel resumes.
+Exits non-zero on any mismatch.
 """
 
 from __future__ import annotations
@@ -39,22 +41,24 @@ class _InjectedInterrupt(KeyboardInterrupt):
     """The fault we inject (subclass so we never swallow a real ^C)."""
 
 
-def main() -> int:
-    workdir = Path(tempfile.mkdtemp(prefix="smoke-resume-"))
-    ref_dir = workdir / "reference"
+class SmokeFailure(Exception):
+    """A violated smoke contract; ``main`` prints it as ``FAIL:``."""
+
+
+def interrupt_resume_report(
+    reference: PerfDataset, workdir: Path, faults=None, cli_args=(),
+) -> PerfDataset:
+    """Interrupt the campaign at ~40 %, resume it through the CLI.
+
+    The interrupted run journals into ``workdir/cli-cache``; ``generate
+    --resume`` (plus ``cli_args``, which must describe the same
+    ``faults``) must finish it bit-identical to ``reference`` on all
+    five columns and clean up the journal, and ``report`` must digest
+    its telemetry log. Returns the resumed dataset.
+    """
     cli_dir = workdir / "cli-cache"
-    jobs = os.environ.get("REPRO_JOBS", "1")
-    print(f"workdir={workdir} dataset={DID} REPRO_JOBS={jobs}")
-
-    # -- phase 1: uninterrupted reference -----------------------------
-    reference = generate_dataset(DID, "ci", seed=SEED)
-    ref_dir.mkdir(parents=True)
-    reference.save(ref_dir / "ref")
-    print(f"reference: {len(reference)} samples")
-
-    # -- phase 2: interrupted campaign --------------------------------
-    stem = cli_dir / f"{DID}-ci-s{SEED}"
     cli_dir.mkdir(parents=True)
+    stem = cli_dir / f"{DID}-ci-s{SEED}"
 
     def interrupt_at_40pct(done: int, total: int) -> None:
         if done >= total * 0.4:
@@ -62,32 +66,27 @@ def main() -> int:
 
     try:
         generate_dataset(
-            DID, "ci", seed=SEED,
+            DID, "ci", seed=SEED, faults=faults,
             checkpoint=stem, progress=interrupt_at_40pct,
         )
     except _InjectedInterrupt:
         pass
     else:
-        print("FAIL: injected interrupt never fired", file=sys.stderr)
-        return 1
+        raise SmokeFailure("injected interrupt never fired")
     journal = stem.with_name(stem.name + ".journal.json")
     if not journal.exists():
-        print(f"FAIL: no chunk journal at {journal}", file=sys.stderr)
-        return 1
+        raise SmokeFailure(f"no chunk journal at {journal}")
     print(f"interrupted at ~40%; journal: {journal.stat().st_size} bytes")
 
-    # -- phase 3: resume through the real CLI -------------------------
     os.environ["REPRO_CACHE_DIR"] = str(cli_dir)
     telemetry = workdir / "resume.jsonl"
     code = cli_main([
-        "generate", DID, "--scale", "ci", "--seed", str(SEED),
+        "generate", DID, "--scale", "ci", "--seed", str(SEED), *cli_args,
         "--resume", "--telemetry", str(telemetry),
     ])
     if code != 0:
-        print(f"FAIL: resume exited {code}", file=sys.stderr)
-        return 1
+        raise SmokeFailure(f"resume exited {code}")
     resumed = PerfDataset.load(stem)
-
     mismatches = [
         column
         for column in ("config_id", "nodes", "ppn", "msize", "time")
@@ -96,18 +95,32 @@ def main() -> int:
         )
     ]
     if mismatches:
-        print(f"FAIL: columns differ after resume: {mismatches}",
-              file=sys.stderr)
-        return 1
+        raise SmokeFailure(f"columns differ after resume: {mismatches}")
     if journal.exists():
-        print("FAIL: journal not cleaned up after completion",
-              file=sys.stderr)
-        return 1
+        raise SmokeFailure("journal not cleaned up after completion")
+    print(f"resume bit-identical ({len(resumed)} samples)")
 
     # the telemetry log must summarize end-to-end
     code = cli_main(["report", "--telemetry", str(telemetry), "--top", "5"])
     if code != 0:
-        print(f"FAIL: report exited {code}", file=sys.stderr)
+        raise SmokeFailure(f"report exited {code}")
+    return resumed
+
+
+def main() -> int:
+    workdir = Path(tempfile.mkdtemp(prefix="smoke-resume-"))
+    jobs = os.environ.get("REPRO_JOBS", "1")
+    print(f"workdir={workdir} dataset={DID} REPRO_JOBS={jobs}")
+
+    # -- phase 1: uninterrupted reference -----------------------------
+    reference = generate_dataset(DID, "ci", seed=SEED)
+    print(f"reference: {len(reference)} samples")
+
+    # -- phases 2+3: interrupt, resume through the real CLI -----------
+    try:
+        resumed = interrupt_resume_report(reference, workdir)
+    except SmokeFailure as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     print("OK: interrupted+resumed dataset is bit-identical "
           f"({len(resumed)} samples, REPRO_JOBS={jobs})")

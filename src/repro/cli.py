@@ -97,8 +97,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
+def _tune_grid(machine, nodes: int, ppn: int):
+    """A small practical training grid around the target allocation."""
     from repro.bench.runner import GridSpec
+
+    return GridSpec(
+        tuple(sorted({max(1, nodes // 2), nodes,
+                      min(machine.max_nodes, nodes * 2)})),
+        tuple(sorted({1, max(1, ppn // 2), ppn})),
+        (1, 256, 4096, 65536, 524288, 4194304),
+    )
+
+
+def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.core.tuner import AutoTuner
     from repro.machine.zoo import get_machine
     from repro.mpilib import get_library
@@ -107,16 +118,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     library = get_library(args.library)
     tuner = AutoTuner(machine, library, args.collective, learner=args.learner,
                       seed=args.seed)
-    # Train on a small practical grid around the target allocation.
-    nodes_grid = sorted(
-        {max(1, args.nodes // 2), args.nodes, min(machine.max_nodes, args.nodes * 2)}
-    )
-    ppns_grid = sorted({1, max(1, args.ppn // 2), args.ppn})
-    msizes = (1, 256, 4096, 65536, 524288, 4194304)
     print(f"benchmarking {library.name} {args.collective} on {machine.name} ...")
     with _telemetry_to(args.telemetry):
         tuner.benchmark(
-            GridSpec(tuple(nodes_grid), tuple(ppns_grid), msizes),
+            _tune_grid(machine, args.nodes, args.ppn),
             checkpoint=f"{args.output}.campaign", resume=args.resume,
         )
         tuner.train()
@@ -145,9 +150,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.machine.zoo import get_machine
-    from repro.mpilib import get_library
-    from repro.serve import ModelRegistry, PredictionService, serve_lines
+    from functools import partial
+    from pathlib import Path
+
+    from repro.serve import handle_request, serve_lines
+    from repro.serve.worker import build_state
 
     if args.workers:
         # fleet mode: a socket front-end over worker subprocesses
@@ -179,9 +186,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         return run_fleet(spec, host=args.host, port=args.port)
 
-    machine = get_machine(args.machine)
-    library = get_library(args.library)
-    registry = ModelRegistry(machine, library)
+    # rules load below, one stderr line each
+    spec = {"machine": args.machine, "library": args.library,
+            "cache_size": args.cache_size}
+    if args.feedback_dir:
+        spec["feedback"] = {
+            "path": str(Path(args.feedback_dir) / "feedback.jsonl"),
+            "seed": args.feedback_seed,
+            "shift": args.feedback_shift,
+            "shift_algids": _parse_algids(args.feedback_shift_algids),
+        }
+    state = build_state(spec)
+    registry, feedback = state.registry, state.service.feedback
     for path in args.rules or ():
         version = registry.load_rules(path)
         print(
@@ -189,23 +205,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.tune:
-        from repro.bench.runner import GridSpec
         from repro.core.tuner import AutoTuner
 
+        machine, library = registry.machine, registry.library
         tuner = AutoTuner(
             machine, library, args.tune, learner=args.learner, seed=args.seed
         )
-        nodes_grid = sorted(
-            {max(1, args.nodes // 2), args.nodes,
-             min(machine.max_nodes, args.nodes * 2)}
-        )
-        ppns_grid = sorted({1, max(1, args.ppn // 2), args.ppn})
-        msizes = (1, 256, 4096, 65536, 524288, 4194304)
         print(
             f"tuning {library.name} {args.tune} on {machine.name} ...",
             file=sys.stderr,
         )
-        tuner.benchmark(GridSpec(tuple(nodes_grid), tuple(ppns_grid), msizes))
+        tuner.benchmark(_tune_grid(machine, args.nodes, args.ppn))
         tuner.train()
         version = registry.publish(tuner.servable(), tag="autotuner")
         print(
@@ -217,31 +227,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "requests will fall back to the library default",
             file=sys.stderr,
         )
-    feedback = None
-    if args.feedback_dir:
-        from pathlib import Path
-
-        from repro.core.feedback import FeedbackConfig, FeedbackLogger
-
-        feedback = FeedbackLogger(
-            FeedbackConfig(
-                path=str(Path(args.feedback_dir) / "feedback.jsonl"),
-                seed=args.feedback_seed,
-                shift=args.feedback_shift,
-                shift_algids=_parse_algids(args.feedback_shift_algids),
-            ),
-            machine,
-            library,
-        )
+    if feedback is not None:
         print(f"feedback log: {feedback.path}", file=sys.stderr)
-    service = PredictionService(
-        registry, cache_size=args.cache_size,
-        compiled=True, feedback=feedback,
-    )
     source = open(args.requests) if args.requests else sys.stdin
     try:
         with _telemetry_to(args.telemetry):
-            served = serve_lines(service, source, sys.stdout)
+            served = serve_lines(
+                partial(handle_request, state.service), source, sys.stdout
+            )
     except KeyboardInterrupt:
         print("serve: interrupted", file=sys.stderr)
         return 130
@@ -261,27 +254,13 @@ def _parse_algids(text: str | None) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-def _fleet_reload(endpoint: str, rules_path: str) -> dict:
-    """Poke a running fleet's two-phase reload with a new rules file."""
-    import json
-    import socket
-
-    host, _, port = endpoint.rpartition(":")
-    with socket.create_connection((host or "127.0.0.1", int(port))) as sock:
-        with sock.makefile("rw", encoding="utf-8", newline="\n") as stream:
-            stream.write(
-                json.dumps({"op": "reload", "path": rules_path}) + "\n"
-            )
-            stream.flush()
-            return json.loads(stream.readline())
-
-
 def _cmd_retrain(args: argparse.Namespace) -> int:
     from repro.core.dataset import PerfDataset
     from repro.core.feedback import WorldShift, read_feedback
     from repro.core.retrain import Retrainer, RetrainPolicy, RetrainResult
     from repro.machine.zoo import get_machine
     from repro.mpilib import get_library
+    from repro.serve.fleet import FleetClient
 
     machine = get_machine(args.machine)
     library = get_library(args.library)
@@ -323,7 +302,14 @@ def _cmd_retrain(args: argparse.Namespace) -> int:
             result.rules_path = args.rules_out
             print(f"wrote rules -> {args.rules_out}", file=sys.stderr)
             if args.fleet:
-                answer = _fleet_reload(args.fleet, args.rules_out)
+                host, _, port = args.fleet.rpartition(":")
+                with FleetClient(int(port), host or "127.0.0.1") as client:
+                    # a reload waits on every worker's prepare, each up
+                    # to --call-timeout: no socket limit, as before
+                    client.sock.settimeout(None)
+                    answer = client.ask(
+                        {"op": "reload", "path": args.rules_out}
+                    )
                 print(
                     f"fleet reload @{args.fleet}: {answer}", file=sys.stderr
                 )

@@ -12,9 +12,12 @@ request index, as a pure function of
 
 The driver (``scripts/smoke_fleet_chaos.py``) walks a request sequence,
 fires ``plan.at(i)`` events through the fleet's gated ``chaos`` op, and
-asserts the acceptance bar of ISSUE 8: zero client-visible failures and
-answers bit-identical to a fault-free twin fleet, across repeated
-worker kills and one hot reload with a wedge in its prepare phase.
+checks zero client-visible failures and answers bit-identical to a
+fault-free twin fleet, across repeated worker kills and one hot reload
+with a wedge in its prepare phase. Its checks, and those of
+``scripts/smoke_fleet.py`` (reload under fire, the ``/metrics``
+scrape), are the functions at the end of this module, which the fleet
+tests run too.
 
 Fault kinds (see the failure-classes table in ``docs/robustness.md``):
 
@@ -40,9 +43,15 @@ request index, so the driver's event loop stays a simple dict lookup.
 
 from __future__ import annotations
 
+import json
 import random
+import re
+import threading
+import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
+from repro.serve.fleet import FleetClient, http_get
 from repro.utils.rng import stable_seed
 
 #: fault kinds a plan may schedule (mirrors Fleet._handle_chaos)
@@ -112,16 +121,6 @@ class FleetChaosPlan:
         for event in self.events:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
-
-    def describe(self) -> str:
-        rows = ", ".join(
-            f"{event.kind}@{event.index}->w{event.worker}"
-            for event in self.events
-        )
-        return (
-            f"FleetChaosPlan(seed={self.seed}, n={self.n_requests}, "
-            f"workers={self.n_workers}, reload_at={self.reload_at}: {rows})"
-        )
 
 
 def build_plan(
@@ -217,10 +216,18 @@ def build_plan(
 
 
 # -- campaign verification ---------------------------------------------
-# The assertion core shared by the CI smoke harness
-# (scripts/smoke_fleet_chaos.py) and the in-process fleet unit tests:
-# pure functions over collected campaign evidence, so the same contract
-# is checked whether the fleet ran behind the real CLI or in a thread.
+# The assertion core shared by the CI smoke scripts
+# (scripts/smoke_fleet.py, scripts/smoke_fleet_chaos.py) and the fleet
+# tests: each returns the violations it found, so the same contract is
+# checked whether the fleet runs behind the real CLI or in a thread.
+
+#: one Prometheus text-format sample line: name, optional {labels}, value
+METRIC_LINE = re.compile(
+    r"^[a-zA-Z_:][a-zA-Z0-9_:]*"
+    r'(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"'
+    r'(,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\})?'
+    r" (?:[+-]?(?:\d+(?:\.\d+)?(?:e[+-]?\d+)?|Inf)|NaN)$"
+)
 
 #: cache-tier provenance differs legitimately after a respawn (a fresh
 #: worker's L1 is cold); the *answer* must not
@@ -311,14 +318,161 @@ def verify_reload_contract(
     ]
 
 
+def verify_metrics_scrape(body: str) -> list[str]:
+    """A fleet's ``/metrics`` body; returns violations.
+
+    Every sample line must be well-formed, the compiled tier must have
+    taken hits, the request-latency histogram must carry its buckets and
+    p50/p99/p999 gauges, and the text must end with ``# EOF``.
+    """
+    lines = [
+        line for line in body.splitlines()
+        if line and not line.startswith("#")
+    ]
+    failures = [
+        f"malformed metric line: {line!r}"
+        for line in lines
+        if not METRIC_LINE.match(line)
+    ]
+    if not any(
+        line.startswith("serve_compiled_hits_total ")
+        and float(line.split()[-1]) > 0
+        for line in lines
+    ):
+        failures.append("no positive serve_compiled_hits_total")
+    if not any(
+        line.startswith("fleet_request_latency_us_bucket") for line in lines
+    ):
+        failures.append("no fleet_request_latency_us histogram buckets")
+    for quantile in ("p50", "p99", "p999"):
+        if f"fleet_request_latency_us_{quantile} " not in body:
+            failures.append(f"missing latency quantile {quantile}")
+    if not body.endswith("# EOF\n"):
+        failures.append("scrape does not end with # EOF")
+    return failures
+
+
+def wait_for_healthy(port: int, n_workers: int) -> list[str]:
+    """Block until ``/healthz`` shows every worker alive and none
+    restarting; returns the violation if the fleet has not re-healed
+    within 60 s."""
+    deadline = time.monotonic() + 60
+    while True:
+        health = json.loads(http_get("127.0.0.1", port, "/healthz")[1])
+        if (
+            health.get("status") == "ok"
+            and health.get("alive") == n_workers
+            and not health.get("restarting")
+        ):
+            return []
+        if time.monotonic() > deadline:
+            return [f"fleet never re-healed: {health}"]
+        time.sleep(0.05)
+
+
+#: reload_under_fire's load: client threads hammering the fleet, and
+#: the coordinated reloads issued underneath them
+HAMMER_CLIENTS = 4
+RELOAD_ROUNDS = 6
+
+
+def reload_under_fire(
+    port: int, rules: Sequence[str], n_workers: int
+) -> tuple[list, str]:
+    """The reload barrier under load; returns (violations, a one-line
+    summary of the load it ran).
+
+    :data:`HAMMER_CLIENTS` threads hammer ``recommend`` and
+    ``recommend_many`` while :data:`RELOAD_ROUNDS` coordinated reloads
+    alternate over ``rules``, then a reload of a missing file must be
+    rejected. The contract: no failed response or dropped connection,
+    every reload commits on all ``n_workers``, no batch answer mixes
+    versions, every client is answered and sees versions only
+    increase, the reloads land mid-traffic, and ``stats`` shows no
+    version skew afterwards.
+    """
+    stop = threading.Event()
+    failures: list = []
+    seen: list[list[int]] = [[] for _ in range(HAMMER_CLIENTS)]
+
+    def hammer(seed: int) -> None:
+        try:
+            with FleetClient(port) as client:
+                n = 0
+                while not stop.is_set():
+                    n += 1
+                    one = {"collective": "bcast", "nodes": 2 << (n % 5),
+                           "ppn": 1 + seed, "msize": 512 << (n % 8)}
+                    if n % 4:
+                        response = client.ask({"op": "recommend", **one})
+                        answers = [response]
+                    else:
+                        other = {"collective": "bcast", "nodes": 16,
+                                 "ppn": 2 << (seed % 4), "msize": 65536}
+                        response = client.ask({
+                            "op": "recommend_many", "instances": [one, other],
+                        })
+                        answers = response.get("results", [])
+                    versions = {answer.get("version") for answer in answers}
+                    if not response.get("ok"):
+                        failures.append(response)
+                    elif len(versions) != 1:
+                        failures.append({"mixed-version response": response})
+                    else:
+                        seen[seed].extend(versions)
+        except Exception as exc:  # a dropped connection is a failure too
+            failures.append(f"{type(exc).__name__}: {exc}")
+
+    threads = [
+        threading.Thread(target=hammer, args=(seed,))
+        for seed in range(HAMMER_CLIENTS)
+    ]
+    with FleetClient(port) as admin:
+        for thread in threads:
+            thread.start()
+        try:
+            for round_ in range(RELOAD_ROUNDS):
+                response = admin.ask(
+                    {"op": "reload", "path": rules[round_ % len(rules)]}
+                )
+                if not response.get("ok") or response.get("workers") != n_workers:
+                    failures.append({"reload failed": response})
+            rejected = admin.ask({"op": "reload", "path": "/nonexistent.conf"})
+            if rejected.get("ok"):
+                failures.append("reload of a nonexistent file claimed ok")
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+        if any(thread.is_alive() for thread in threads):
+            failures.append("a hammer client did not stop within 60 s")
+        stats = admin.ask({"op": "stats"})
+    if not stats.get("ok") or not stats["stats"]["fleet"]["versions_consistent"]:
+        failures.append({"version skew in stats": stats})
+    for versions in seen:
+        if not versions:
+            failures.append("a hammer client completed zero requests")
+        elif versions != sorted(versions):
+            failures.append("client observed versions going backwards")
+    if max((max(versions) for versions in seen if versions), default=0) <= 1:
+        failures.append("reloads never landed mid-traffic")
+    answered = sum(len(versions) for versions in seen)
+    return failures, (f"hammered {answered} requests across "
+                      f"{HAMMER_CLIENTS} clients, {RELOAD_ROUNDS} reloads")
+
+
 __all__ = [
     "CHAOS_KINDS",
+    "METRIC_LINE",
     "PROVENANCE_FIELDS",
     "ChaosEvent",
     "FleetChaosPlan",
     "build_plan",
+    "reload_under_fire",
     "strip_provenance",
     "verify_bit_identity",
     "verify_chaos_invariants",
+    "verify_metrics_scrape",
     "verify_reload_contract",
+    "wait_for_healthy",
 ]

@@ -58,6 +58,11 @@ Deterministic fault injection for all of the above lives in
 :mod:`repro.serve.chaos` (seeded kill/wedge/garbage/crash plans) and is
 reachable over the socket via the ``chaos`` op when the fleet is booted
 with ``chaos_ops=True`` (``--chaos-ops``) — disabled by default.
+
+Outside the fleet, :class:`FleetClient` is the one JSONL client and
+:func:`http_get` the scrape client; :class:`FleetThread` boots a fleet
+on a private event-loop thread and :class:`FleetProcess` through the
+real CLI.
 """
 
 from __future__ import annotations
@@ -69,7 +74,10 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import signal
+import socket
+import subprocess
 import sys
 import threading
 import time
@@ -1519,39 +1527,81 @@ class FleetThread:
         self._thread.join(timeout)
 
 
-def client_request(
-    host: str, port: int, payloads: Iterable[dict], timeout: float = 30.0
-) -> list[dict]:
-    """Tiny synchronous JSONL client (smoke tests, benchmarks).
+class FleetProcess:
+    """``mpicollpred serve --port 0 ARGS`` as a child process (smoke scripts).
 
-    Opens one connection, sends every payload, reads one response per
-    payload, closes. Raises on short reads — a dropped response must
-    fail loudly, that is the whole point of the reload contract.
+    Construction boots the real CLI, reads the port from its ``listening
+    on`` stderr line and keeps draining stderr so the child never blocks
+    on a full pipe. ``stop()`` sends SIGTERM, reaps the child and returns
+    the shutdown contract's violations (a fleet exits 0 on SIGTERM).
     """
-    import socket
 
-    payloads = list(payloads)
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        blob = "".join(json.dumps(p) + "\n" for p in payloads)
-        sock.sendall(blob.encode("utf-8"))
-        reader = sock.makefile("r", encoding="utf-8")
-        responses = []
-        for _ in payloads:
-            line = reader.readline()
-            if not line:
-                raise ConnectionError(
-                    f"connection closed after {len(responses)} of "
-                    f"{len(payloads)} responses"
-                )
-            responses.append(json.loads(line))
-    return responses
+    def __init__(self, *serve_args: str, cwd: str | os.PathLike | None = None
+                 ) -> None:
+        self.returncode: int | None = None
+        self.process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             *serve_args],
+            cwd=cwd, env=_worker_env(), stderr=subprocess.PIPE, text=True,
+        )
+        boot_log = ""
+        for line in self.process.stderr:
+            boot_log += line
+            if match := re.search(r"listening on [\d.]+:(\d+)", line):
+                self.port = int(match.group(1))
+                break
+        else:
+            self.stop()
+            raise RuntimeError(f"fleet never printed its listening line:\n"
+                               f"{boot_log}")
+        threading.Thread(target=self.process.stderr.read, daemon=True).start()
+
+    def stop(self) -> list[str]:
+        failures = []
+        self.process.send_signal(signal.SIGTERM)
+        try:
+            self.returncode = self.process.wait(30)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            failures.append("fleet did not exit on SIGTERM")
+            self.returncode = self.process.wait()
+        if self.returncode != 0:
+            failures.append(f"fleet exited {self.returncode} on SIGTERM")
+        return failures
+
+
+class FleetClient:
+    """One persistent JSONL connection to a fleet (a context manager).
+
+    ``ask`` sends one request and reads its answer; a connection closed
+    before the answer raises :class:`ConnectionError`, so a dropped
+    response always fails loudly, and so does an answer that takes more
+    than 60 s. ``sock``/``reader`` stay public for callers that write
+    raw lines.
+    """
+
+    def __init__(self, port: int, host: str = "127.0.0.1") -> None:
+        self.sock = socket.create_connection((host, port), timeout=60)
+        self.reader = self.sock.makefile("r", encoding="utf-8")
+
+    def __enter__(self) -> "FleetClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    def ask(self, payload: dict) -> dict:
+        self.sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
+        line = self.reader.readline()
+        if not line:
+            raise ConnectionError("fleet dropped the connection")
+        return json.loads(line)
 
 
 def http_get(host: str, port: int, target: str, timeout: float = 30.0
              ) -> tuple[int, str]:
     """Tiny HTTP GET against the fleet's scrape surface -> (status, body)."""
-    import socket
-
     with socket.create_connection((host, port), timeout=timeout) as sock:
         sock.sendall(
             f"GET {target} HTTP/1.1\r\nHost: {host}\r\n"
@@ -1570,6 +1620,8 @@ def http_get(host: str, port: int, target: str, timeout: float = 30.0
 
 __all__ = [
     "Fleet",
+    "FleetClient",
+    "FleetProcess",
     "FleetSpec",
     "FleetSupervisor",
     "FleetThread",
@@ -1577,7 +1629,6 @@ __all__ = [
     "OverloadedError",
     "WorkerError",
     "WorkerHandle",
-    "client_request",
     "first_live_owner",
     "http_get",
     "run_fleet",

@@ -23,7 +23,7 @@ through the same :func:`handle_request`, so the check holds there too.
 from __future__ import annotations
 
 import json
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 from repro.serve.registry import ReloadError
 from repro.serve.service import PredictionService
@@ -111,31 +111,35 @@ def handle_request(service: PredictionService, payload: dict) -> dict:
 
 
 def serve_lines(
-    service: PredictionService, lines: Iterable[str], out: IO[str]
+    handle: Callable[[dict], dict], lines: Iterable[str], out: IO[str]
 ) -> int:
-    """Drive the service from an iterable of JSONL lines.
+    """Drive a request handler from an iterable of JSONL lines.
 
+    ``handle`` maps one request object to its response — the stdin loop
+    passes ``partial(handle_request, service)``, a fleet worker its own
+    handler.
     Returns the number of requests served. Stops early on
-    ``{"op": "quit"}``; blank lines are skipped; responses are flushed
-    per line so a co-process client never deadlocks on buffering.
+    ``{"op": "quit"}``; blank lines are skipped; a line that is not a
+    JSON object answers ``ok: false``; responses are flushed per line so
+    a co-process client never deadlocks on buffering.
     """
     served = 0
     for raw in lines:
         line = raw.strip()
         if not line:
             continue
+        served += 1
         try:
             payload = json.loads(line)
             if not isinstance(payload, dict):
                 raise ValueError("request must be a JSON object")
         except ValueError as exc:
+            payload = {}
             response = {"ok": False, "error": f"bad request line: {exc}"}
-            payload = None
         else:
-            response = handle_request(service, payload)
+            response = handle(payload)
         out.write(json.dumps(response) + "\n")
         out.flush()
-        served += 1
-        if payload is not None and payload.get("op") == "quit":
+        if payload.get("op") == "quit":
             break
     return served

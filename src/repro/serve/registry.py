@@ -148,20 +148,6 @@ class ModelRegistry:
     def collectives(self) -> list[CollectiveKind]:
         return sorted(self._live, key=str)
 
-    def live_versions(self) -> dict[str, int]:
-        """``{collective: live version number}`` — the lockstep fingerprint.
-
-        Fleet peers must agree on this exactly: the chaos harness and
-        the reload barrier compare it across workers (including freshly
-        respawned ones) to prove no version skew.
-        """
-        return {
-            str(collective): version.version
-            for collective, version in sorted(
-                self._live.items(), key=lambda item: str(item[0])
-            )
-        }
-
     def default_config(
         self, collective: CollectiveKind | str, nodes: int, ppn: int,
         msize: int,

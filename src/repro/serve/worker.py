@@ -23,9 +23,6 @@ coordination ops:
   prepare).
 * ``counters`` — this process's ``serve.*``/``bench.*`` counter
   snapshot, merged fleet-wide by the front-end for ``/metrics``.
-* ``versions`` — the registry's live version number per collective
-  (the fleet-chaos harness asserts these stay lockstep across
-  respawns and reloads).
 * ``drift`` — the feedback logger's drift-detector snapshot
   (per-(collective, version) residual stats + guideline violations),
   merged into labelled ``/metrics`` gauges by the front-end. Workers
@@ -57,7 +54,7 @@ from typing import IO
 from repro.machine.zoo import get_machine
 from repro.mpilib import get_library
 from repro.obs import get_telemetry
-from repro.serve.loop import handle_request
+from repro.serve.loop import handle_request, serve_lines
 from repro.serve.registry import ModelRegistry, ReloadError, StagedModel
 from repro.serve.service import PredictionService
 
@@ -161,12 +158,6 @@ def handle_worker_request(state: WorkerState, payload: dict) -> dict:
                 if name.startswith(EXPORTED_COUNTER_PREFIXES)
             },
         }
-    if op == "versions":
-        return {
-            "ok": True,
-            "worker": state.worker_id,
-            "versions": state.registry.live_versions(),
-        }
     if op == "drift":
         feedback = state.service.feedback
         drift = (
@@ -181,7 +172,7 @@ def handle_worker_request(state: WorkerState, payload: dict) -> dict:
 
 
 def handle_chaos_op(state: WorkerState, payload: dict, out: IO[str]
-                    ) -> dict | None:
+                    ) -> dict:
     """Deterministic in-worker fault injection (chaos harness only).
 
     ``chaos_garbage`` writes a newline-terminated unparseable line to
@@ -189,8 +180,8 @@ def handle_chaos_op(state: WorkerState, payload: dict, out: IO[str]
     — then answers normally. ``chaos_crash`` answers first (the
     injection is not allowed to be a client-visible failure), writes a
     *torn* line (no newline), and dies with ``os._exit`` so no atexit
-    machinery can tidy the pipe. Returns the response to write, or
-    ``None`` when the response was already written (crash path).
+    machinery can tidy the pipe, so that path never returns. Returns
+    the response to write.
     """
     if not state.chaos_ops:
         op = payload.get("op")
@@ -210,56 +201,27 @@ def handle_chaos_op(state: WorkerState, payload: dict, out: IO[str]
     out.write('{"torn": ')
     out.flush()
     os._exit(23)
-    return None  # unreachable except under a stubbed os._exit (tests)
 
 
 def serve_worker(state: WorkerState, lines, out: IO[str]) -> int:
-    """The worker's request loop: JSONL in -> JSONL out, rid echoed.
+    """The worker's request loop: a ``ready`` line once the models are
+    loaded, then :func:`~repro.serve.loop.serve_lines` with a handler
+    that routes chaos ops and echoes ``rid`` on every response."""
 
-    Mirrors :func:`repro.serve.loop.serve_lines` (bad lines answer
-    ``ok: false`` and the loop keeps serving) with the fleet additions:
-    a ``ready`` line is emitted before the first request so the
-    front-end knows when models finished loading, and ``rid`` rides
-    every response.
-    """
-    out.write(
-        json.dumps(
-            {"ok": True, "ready": True, "worker": state.worker_id,
-             "pid": os.getpid()}
-        )
-        + "\n"
-    )
-    out.flush()
-    served = 0
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        rid = None
-        try:
-            payload = json.loads(line)
-            if not isinstance(payload, dict):
-                raise ValueError("request must be a JSON object")
-        except ValueError as exc:
-            response = {"ok": False, "error": f"bad request line: {exc}"}
-            payload = None
+    def handle(payload: dict) -> dict:
+        if str(payload.get("op", "")).startswith("chaos_"):
+            response = handle_chaos_op(state, payload, out)
         else:
-            rid = payload.get("rid")
-            if str(payload.get("op", "")).startswith("chaos_"):
-                response = handle_chaos_op(state, payload, out)
-                if response is None:  # crash path answered for itself
-                    served += 1
-                    continue
-            else:
-                response = handle_worker_request(state, payload)
-        if rid is not None:
-            response["rid"] = rid
-        out.write(json.dumps(response) + "\n")
-        out.flush()
-        served += 1
-        if payload is not None and payload.get("op") == "quit":
-            break
-    return served
+            response = handle_worker_request(state, payload)
+        if payload.get("rid") is not None:
+            response["rid"] = payload["rid"]
+        return response
+
+    ready = {"ok": True, "ready": True, "worker": state.worker_id,
+             "pid": os.getpid()}
+    out.write(json.dumps(ready) + "\n")
+    out.flush()
+    return serve_lines(handle, lines, out)
 
 
 def main() -> int:

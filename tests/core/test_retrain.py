@@ -455,3 +455,46 @@ class TestWatch:
                     version=1,
                 ))
         assert retrainer.scan(read_feedback(path)) == []
+
+
+# ---------------------------------------------------------------------------
+@pytest.mark.slow
+class TestRetrainCli:
+    def test_force_retrain_reloads_the_fleet(
+        self, closed_loop, library, tmp_path, capsys
+    ):
+        """``mpicollpred retrain --rules-out R --fleet HOST:PORT`` refits,
+        writes R and publishes it through the fleet's two-phase reload."""
+        from repro.cli import main as cli_main
+        from repro.serve.fleet import FleetClient, FleetSpec, FleetThread
+
+        from tests.serve.conftest import make_rules_text
+
+        dataset = tmp_path / "base"
+        closed_loop["base"].save(dataset)
+        boot_rules = tmp_path / "boot.conf"
+        boot_rules.write_text(
+            make_rules_text(library, "bcast", 4, 2, [(0, 1)])
+        )
+        rules_out = tmp_path / "retrained.conf"
+        spec = FleetSpec(
+            machine="TinyTestbed", rules=(str(boot_rules),), workers=1
+        )
+        with FleetThread(spec) as running:
+            code = cli_main([
+                "retrain", "--feedback", str(closed_loop["feedback_path"]),
+                "--dataset", str(dataset), "--machine", "TinyTestbed",
+                "--seed", "1", "--force", "--rules-out", str(rules_out),
+                "--fleet", f"127.0.0.1:{running.port}",
+            ])
+            with FleetClient(running.port) as client:
+                response = client.ask(
+                    {"op": "recommend", "collective": "bcast", "nodes": 4,
+                     "ppn": 2, "msize": 4096}
+                )
+        assert code == 0
+        assert rules_out.read_text().strip()
+        assert f"fleet reload @127.0.0.1:{running.port}: {{'ok': True" in (
+            capsys.readouterr().err
+        )
+        assert response["ok"] and response["version"] == 2

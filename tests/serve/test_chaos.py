@@ -228,10 +228,3 @@ class TestWorkerChaosOps:
         assert torn and not torn.endswith("\n")
         with pytest.raises(ValueError):
             json.loads(torn)
-
-    def test_versions_op_reports_live_registry(self, chaos_state):
-        from repro.serve.worker import handle_worker_request
-
-        response = handle_worker_request(chaos_state, {"op": "versions"})
-        assert response["ok"]
-        assert response["versions"] == {"bcast": 1}

@@ -8,12 +8,12 @@ those names being stable across releases.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
 import pytest
 
 from repro.obs import Histogram
+from repro.serve.chaos import METRIC_LINE, verify_metrics_scrape
 from repro.serve.exporter import (
     escape_help,
     escape_label_value,
@@ -25,15 +25,6 @@ from repro.serve.exporter import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "metrics.golden.txt"
-
-#: metric line: name, optional {labels}, space, value
-_METRIC_LINE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*"
-    r'(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"'
-    r'(,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*")*\})?'
-    r" (?:[+-]?(?:\d+(?:\.\d+)?(?:e[+-]?\d+)?|Inf)|NaN)$"
-)
-
 
 def _snapshot():
     """The fixed telemetry state the golden file renders."""
@@ -105,7 +96,7 @@ def parse_metric_lines(text: str) -> list[str]:
     for line in text.splitlines():
         if not line or line.startswith("#"):
             continue
-        assert _METRIC_LINE.match(line), f"malformed metric line: {line!r}"
+        assert METRIC_LINE.match(line), f"malformed metric line: {line!r}"
         lines.append(line)
     return lines
 
@@ -296,8 +287,7 @@ class TestFullRender:
         counters, gauges, histograms, _ = _snapshot()
         text = render_prometheus(counters, gauges, histograms)
         assert "serve_compiled_hits_total 1203" in text
-        assert "fleet_request_latency_us_bucket" in text
-        assert text.endswith("# EOF\n")
+        assert verify_metrics_scrape(text) == []
 
     def test_sections_sorted_for_stable_diffs(self):
         counters, gauges, histograms, _ = _snapshot()

@@ -13,8 +13,6 @@ from __future__ import annotations
 import asyncio
 import io
 import json
-import socket
-import threading
 import time
 from collections import Counter
 
@@ -25,13 +23,18 @@ from hypothesis import strategies as st
 
 from repro.obs import get_telemetry
 from repro.serve.chaos import (
+    reload_under_fire,
     strip_provenance,
     verify_bit_identity,
     verify_chaos_invariants,
+    verify_metrics_scrape,
     verify_reload_contract,
+    wait_for_healthy,
 )
 from repro.serve.fleet import (
     Fleet,
+    FleetClient,
+    FleetProcess,
     FleetSpec,
     FleetThread,
     HashRing,
@@ -547,29 +550,10 @@ def fleet(rules_pair):
         yield running
 
 
-class _Client:
-    """One persistent JSONL connection with request/response framing."""
-
-    def __init__(self, port):
-        self.sock = socket.create_connection(("127.0.0.1", port), timeout=30)
-        self.reader = self.sock.makefile("r", encoding="utf-8")
-
-    def ask(self, payload):
-        self.sock.sendall((json.dumps(payload) + "\n").encode())
-        line = self.reader.readline()
-        if not line:
-            raise ConnectionError("fleet dropped the connection")
-        return json.loads(line)
-
-    def close(self):
-        self.sock.close()
-
-
 @pytest.mark.slow
 class TestFleetEndToEnd:
     def test_recommend_and_batch_order(self, fleet):
-        client = _Client(fleet.port)
-        try:
+        with FleetClient(fleet.port) as client:
             one = client.ask(
                 {"op": "recommend", "collective": "bcast", "nodes": 8,
                  "ppn": 16, "msize": 4096, "id": "x"}
@@ -591,8 +575,6 @@ class TestFleetEndToEnd:
                 (r["nodes"], r["ppn"]) for r in many["results"]
             ]
             assert echoed == [(i["nodes"], i["ppn"]) for i in instances]
-        finally:
-            client.close()
 
     def test_large_batch_roundtrip_past_64k_pipe_limit(self, fleet):
         # a ~1200-instance batch makes both the request line (~75 KiB)
@@ -604,8 +586,7 @@ class TestFleetEndToEnd:
              "ppn": 1 << (i % 5), "msize": 1024 * (1 + i % 7)}
             for i in range(1200)
         ]
-        client = _Client(fleet.port)
-        try:
+        with FleetClient(fleet.port) as client:
             response = client.ask(
                 {"op": "recommend_many", "instances": instances}
             )
@@ -619,8 +600,6 @@ class TestFleetEndToEnd:
                  "ppn": 16, "msize": 4096}
             )
             assert after["ok"]
-        finally:
-            client.close()
 
     def test_oversized_request_line_answers_error(
         self, rules_pair, monkeypatch
@@ -633,8 +612,7 @@ class TestFleetEndToEnd:
         monkeypatch.setattr(fleet_mod, "STREAM_LIMIT", 1024)
         spec = FleetSpec(rules=(rules_pair[0],), workers=1)
         with FleetThread(spec) as running:
-            client = _Client(running.port)
-            try:
+            with FleetClient(running.port) as client:
                 response = client.ask(
                     {"op": "recommend", "collective": "bcast", "nodes": 8,
                      "ppn": 16, "msize": 4096, "pad": "x" * 4096}
@@ -642,14 +620,11 @@ class TestFleetEndToEnd:
                 assert response["ok"] is False
                 assert "exceeds" in response["error"]
                 assert client.reader.readline() == ""  # then closed
-            finally:
-                client.close()
 
     def test_infinite_route_value_answers_error(self, fleet):
         """``1e400`` parses to inf, which ``int()`` cannot route; the
         fleet must still answer ok:false and keep the connection."""
-        client = _Client(fleet.port)
-        try:
+        with FleetClient(fleet.port) as client:
             for line in (
                 '{"op": "recommend", "collective": "bcast",'
                 ' "nodes": 1e400, "ppn": 16, "msize": 4096}',
@@ -664,90 +639,16 @@ class TestFleetEndToEnd:
                  "ppn": 16, "msize": 4096}
             )
             assert after["ok"]
-        finally:
-            client.close()
 
     def test_reload_under_fire_drops_and_mixes_nothing(
         self, fleet, rules_pair
     ):
         """The fleet version of the PR-4 reload-under-fire contract."""
-        stop = threading.Event()
-        failures: list = []
-        observed_versions: list[list[int]] = []
-
-        def hammer(seed):
-            client = _Client(fleet.port)
-            versions = []
-            observed_versions.append(versions)
-            try:
-                n = 0
-                while not stop.is_set():
-                    n += 1
-                    if n % 3 == 0:
-                        response = client.ask({
-                            "op": "recommend_many",
-                            "instances": [
-                                {"collective": "bcast", "nodes": 4 << (seed % 3),
-                                 "ppn": 8, "msize": 1024 * (1 + n % 5)},
-                                {"collective": "bcast", "nodes": 8,
-                                 "ppn": 2 << (seed % 4), "msize": 65536},
-                            ],
-                        })
-                        if not response.get("ok"):
-                            failures.append(response)
-                            continue
-                        batch_versions = {
-                            r["version"] for r in response["results"]
-                        }
-                        if len(batch_versions) != 1:  # mixed-version answer
-                            failures.append(response)
-                        versions.append(max(batch_versions))
-                    else:
-                        response = client.ask({
-                            "op": "recommend", "collective": "bcast",
-                            "nodes": 2 << (n % 5), "ppn": 1 + seed,
-                            "msize": 512 << (n % 8),
-                        })
-                        if not response.get("ok"):
-                            failures.append(response)
-                        else:
-                            versions.append(response["version"])
-            except Exception as exc:  # any transport failure is a failure
-                failures.append(exc)
-            finally:
-                client.close()
-
-        threads = [
-            threading.Thread(target=hammer, args=(seed,)) for seed in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        admin = _Client(fleet.port)
-        try:
-            reloads = 0
-            for round_ in range(6):
-                response = admin.ask(
-                    {"op": "reload", "path": rules_pair[round_ % 2]}
-                )
-                assert response["ok"], response
-                assert response["workers"] == 2
-                reloads += 1
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=30)
-            admin.close()
+        failures, _ = reload_under_fire(fleet.port, rules_pair, 2)
         assert failures == []
-        # each client saw versions only ever increase (no worker lagging
-        # behind the fleet), and the reloads actually landed mid-traffic
-        for versions in observed_versions:
-            assert versions == sorted(versions)
-            assert versions, "hammer thread never completed a request"
-        assert max(max(v) for v in observed_versions) > 1
 
     def test_reload_rejection_leaves_fleet_serving_old_version(self, fleet):
-        client = _Client(fleet.port)
-        try:
+        with FleetClient(fleet.port) as client:
             before = client.ask(
                 {"op": "recommend", "collective": "bcast", "nodes": 8,
                  "ppn": 16, "msize": 4096}
@@ -761,45 +662,39 @@ class TestFleetEndToEnd:
             assert after["ok"]
             assert after["version"] == before["version"]
             assert after["label"] == before["label"]
-        finally:
-            client.close()
 
     def test_stats_reports_consistent_versions(self, fleet):
-        client = _Client(fleet.port)
-        try:
+        with FleetClient(fleet.port) as client:
             stats = client.ask({"op": "stats"})["stats"]
-        finally:
-            client.close()
         assert stats["fleet"]["workers"] == 2
         assert stats["fleet"]["versions_consistent"] is True
         assert [w["ok"] for w in stats["workers"]] == [True, True]
 
     def test_metrics_scrape_is_wellformed_prometheus(self, fleet):
-        client = _Client(fleet.port)
-        try:
+        with FleetClient(fleet.port) as client:
             # drive enough repeats that the compiled tier takes hits
             for _ in range(3):
                 client.ask(
                     {"op": "recommend", "collective": "bcast", "nodes": 8,
                      "ppn": 16, "msize": 4096}
                 )
-        finally:
-            client.close()
         status, body = http_get("127.0.0.1", fleet.port, "/metrics")
         assert status == 200
-        lines = parse_metric_lines(body)  # asserts per-line wellformedness
-        assert lines
-        assert any(
-            line.startswith("serve_compiled_hits_total ")
-            and int(line.split()[-1]) > 0
-            for line in lines
-        ), body
-        assert any(
-            line.startswith("fleet_request_latency_us_bucket") for line in lines
-        )
-        for quantile in ("p50", "p99", "p999"):
-            assert f"fleet_request_latency_us_{quantile} " in body
-        assert body.endswith("# EOF\n")
+        assert verify_metrics_scrape(body) == []
+
+    def test_cli_fleet_process_serves_and_exits_clean(self, rules_pair):
+        """The real ``mpicollpred serve --workers`` the smoke scripts boot."""
+        process = FleetProcess("--workers", "1", "--rules", rules_pair[0])
+        try:
+            with FleetClient(process.port) as client:
+                response = client.ask(
+                    {"op": "recommend", "collective": "bcast", "nodes": 8,
+                     "ppn": 16, "msize": 4096}
+                )
+        finally:
+            assert process.stop() == []
+        assert response["ok"] and response["version"] == 1
+        assert process.returncode == 0
 
     def test_healthz_and_unknown_route(self, fleet):
         status, body = http_get("127.0.0.1", fleet.port, "/healthz")
@@ -808,24 +703,24 @@ class TestFleetEndToEnd:
         assert status == 404
 
     def test_quit_op_answers_then_closes(self, fleet):
-        client = _Client(fleet.port)
-        try:
+        with FleetClient(fleet.port) as client:
             response = client.ask({"op": "quit"})
             assert response["ok"] and response["bye"]
             assert client.reader.readline() == ""  # connection closed
-        finally:
-            client.close()
 
 
 # -- chaos verification helpers (the smoke script's assertion core) ------
 
 
 class TestChaosVerifyHelpers:
-    """Unit coverage of the invariants scripts/smoke_fleet_chaos.py runs.
+    """Unit coverage of the checks the fleet smoke scripts run.
 
-    The smoke script is the CI driver; the *contract* lives in
-    repro.serve.chaos so it is testable without booting a 3-worker
-    fleet through the CLI.
+    ``scripts/smoke_fleet.py`` and ``scripts/smoke_fleet_chaos.py`` are
+    thin CI drivers; the *contract* lives in repro.serve.chaos so it is
+    testable without booting a fleet through the CLI. The helpers that
+    need a live fleet (``reload_under_fire``, ``wait_for_healthy``) run
+    against a ``FleetThread`` in ``TestFleetEndToEnd`` and
+    ``TestFleetFeedbackClosedLoop``.
     """
 
     def clean_inputs(self):
@@ -890,6 +785,19 @@ class TestChaosVerifyHelpers:
         with pytest.raises(ValueError):
             verify_bit_identity([{}, {}], [{}])
 
+    def test_metrics_scrape_reports_every_violation(self):
+        failures = verify_metrics_scrape(
+            "# TYPE serve_compiled_hits_total counter\n"
+            "serve_compiled_hits_total 0\nnot a metric line\n"
+        )
+        assert failures[0] == "malformed metric line: 'not a metric line'"
+        text = "\n".join(failures)
+        for fragment in ("serve_compiled_hits_total", "histogram buckets",
+                         "quantile p50", "quantile p99", "quantile p999",
+                         "# EOF"):
+            assert fragment in text
+        assert len(failures) == 7
+
     def test_reload_contract_compares_version_keys_only(self):
         chaos = {"ok": True, "version": 2, "collective": "bcast",
                  "tag": "r", "workers": 2}
@@ -934,20 +842,6 @@ class TestFleetFeedbackClosedLoop:
                 "msize": 1024 << (i % 6),
             }
 
-    def _wait_healthy(self, port, n_workers, timeout_s=30.0):
-        deadline = time.time() + timeout_s
-        while time.time() < deadline:
-            status, body = http_get("127.0.0.1", port, "/healthz")
-            health = json.loads(body)
-            if (
-                status == 200
-                and health.get("alive") == n_workers
-                and not health.get("restarting")
-            ):
-                return
-            time.sleep(0.05)
-        pytest.fail(f"fleet never re-healed: {health}")
-
     def test_kill_during_feedback_flush(self, feedback_fleet):
         import os
         import signal
@@ -956,8 +850,7 @@ class TestFleetFeedbackClosedLoop:
 
         running, feedback_dir, rules_path = feedback_fleet
         get_telemetry().reset()
-        client = _Client(running.port)
-        try:
+        with FleetClient(running.port) as client:
             # commit one reload up front: the respawned worker must
             # boot with it, not lose it
             reload_response = client.ask(
@@ -971,12 +864,10 @@ class TestFleetFeedbackClosedLoop:
             os.kill(running.worker_pids()[0], signal.SIGKILL)
             for request in self._requests(40, 40):
                 assert client.ask(request)["ok"]
-            self._wait_healthy(running.port, n_workers=2)
+            assert wait_for_healthy(running.port, 2) == []
             for request in self._requests(80, 20):
                 assert client.ask(request)["ok"]
             stats = client.ask({"op": "stats"})["stats"]["fleet"]
-        finally:
-            client.close()
 
         # the committed reload survived the kill: exactly one commit,
         # no version skew between the survivor and the respawn
@@ -1002,12 +893,9 @@ class TestFleetFeedbackClosedLoop:
 
     def test_drift_gauges_reach_the_metrics_scrape(self, feedback_fleet):
         running, _, _ = feedback_fleet
-        client = _Client(running.port)
-        try:
+        with FleetClient(running.port) as client:
             for request in self._requests(0, 30):
                 assert client.ask(request)["ok"]
-        finally:
-            client.close()
         status, body = http_get("127.0.0.1", running.port, "/metrics")
         assert status == 200
         parse_metric_lines(body)  # per-line wellformedness
@@ -1052,14 +940,11 @@ class TestBackpressure:
             shed_before = get_telemetry().counters_snapshot().get(
                 "fleet.shed", 0
             )
-            client = _Client(running.port)
-            try:
+            with FleetClient(running.port) as client:
                 response = client.ask(
                     {"op": "recommend", "collective": "bcast", "nodes": 8,
                      "ppn": 16, "msize": 4096}
                 )
-            finally:
-                client.close()
             assert response == {"ok": False, "error": "overloaded"}
             # the scrape fan-outs shed too (they pile work on workers)
             assert http_get("127.0.0.1", running.port, "/stats")[0] == 503
@@ -1096,8 +981,7 @@ class TestSelfHealing:
             backoff_base_s=0.05,
         )
         with FleetThread(spec) as running:
-            client = _Client(running.port)
-            try:
+            with FleetClient(running.port) as client:
                 # commit two reloads first: the respawned worker must
                 # boot at v3, not rejoin the ring at boot v1
                 for path in (rules_pair[1], rules_pair[0]):
@@ -1140,8 +1024,6 @@ class TestSelfHealing:
                     for worker in stats["workers"] if worker["ok"]
                 }
                 assert versions == {3}
-            finally:
-                client.close()
 
     def test_breaker_holds_a_crashing_worker_down(self, rules_pair):
         spec = FleetSpec(
@@ -1149,8 +1031,7 @@ class TestSelfHealing:
             max_worker_restarts=0, backoff_base_s=0.05,
         )
         with FleetThread(spec) as running:
-            client = _Client(running.port)
-            try:
+            with FleetClient(running.port) as client:
                 killed = client.ask(
                     {"op": "chaos", "kind": "kill", "worker": 0}
                 )
@@ -1190,8 +1071,6 @@ class TestSelfHealing:
                 )
                 assert response["ok"] is False
                 assert "no live worker" in response["error"]
-            finally:
-                client.close()
 
     def test_reload_commits_on_the_survivors(self, rules_pair):
         spec = FleetSpec(
@@ -1199,8 +1078,7 @@ class TestSelfHealing:
             max_worker_restarts=0, backoff_base_s=0.05,
         )
         with FleetThread(spec) as running:
-            client = _Client(running.port)
-            try:
+            with FleetClient(running.port) as client:
                 killed = client.ask(
                     {"op": "chaos", "kind": "kill", "worker": 0}
                 )
@@ -1223,8 +1101,6 @@ class TestSelfHealing:
                 stats = client.ask({"op": "stats"})["stats"]
                 assert stats["fleet"]["versions_consistent"] is True
                 assert stats["fleet"]["committed_reloads"] == 1
-            finally:
-                client.close()
 
 
 @pytest.mark.slow
@@ -1247,13 +1123,10 @@ class TestBootSpec:
         spec = FleetSpec(rules=(str(rules),) * 40, workers=1)
         assert len(json.dumps(spec.worker_spec(0, []))) > 128 * 1024
         with FleetThread(spec) as running:
-            client = _Client(running.port)
-            try:
+            with FleetClient(running.port) as client:
                 response = client.ask(
                     {"op": "recommend", "collective": "bcast", "nodes": 8,
                      "ppn": 16, "msize": 4096}
                 )
-            finally:
-                client.close()
         assert response["ok"], response
         assert response["version"] == 40

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from tests.serve.conftest import make_rules_text
 
 def run_lines(service, lines: list[str]) -> list[dict]:
     out = io.StringIO()
-    serve_lines(service, lines, out)
+    serve_lines(partial(handle_request, service), lines, out)
     return [json.loads(line) for line in out.getvalue().splitlines()]
 
 
