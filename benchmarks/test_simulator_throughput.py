@@ -7,7 +7,11 @@ fast enough that a ~70k-sample campaign takes minutes (>= ~50 evals/s),
 and the exact engine must be >100x slower on the same instance (which
 is why it is reserved for verification). A ring's ``p - 1`` repeats of
 one round are costed once: bit-identical to costing every repeat, and
->= 100x cheaper at 1152 ranks (``fastsim_round_reuse_speedup_x``).
+>= 100x cheaper at 1152 ranks (``fastsim_round_reuse_speedup_x``). A
+tree is planned once and costed one BFS level at a time: bit-identical
+to the per-rank walk, and >= 5x cheaper for the binomial reduce + bcast
+of the nonoverlapping allreduce at 1152 ranks
+(``fastsim_tree_plan_speedup_x``).
 """
 
 import pytest
@@ -17,6 +21,7 @@ from repro.machine.model import NoiseModel
 from repro.machine.topology import Topology
 from repro.machine.zoo import hydra
 from tests.simulator.round_reference import copy_per_round
+from tests.simulator.tree_reference import per_rank_trees
 
 QUIET = hydra.with_noise(NoiseModel(sigma=0.0, spike_prob=0.0, floor=0.0))
 
@@ -58,6 +63,27 @@ def test_fastsim_round_reuse_100x(best_ratio, record_property):
     print(f"\nsegmented ring round reuse {speedup:.0f}x over copy-per-round")
     assert speedup >= 100.0, (
         f"round reuse only {speedup:.0f}x faster than copy-per-round"
+    )
+
+
+def test_fastsim_tree_plan_speedup(best_ratio, record_property):
+    allreduce = make_algorithm("allreduce", "nonoverlapping")
+    topo = Topology(36, 32)
+
+    def planned() -> float:
+        return allreduce.base_time(QUIET, topo, 1024)
+
+    def reference() -> float:
+        with per_rank_trees():
+            return planned()
+
+    # Parity first: the planned levels must reproduce the per-rank walk.
+    assert planned() == reference()
+    speedup = best_ratio(reference, planned, rounds=7)
+    record_property("fastsim_tree_plan_speedup_x", speedup)
+    print(f"\nnonoverlapping allreduce tree plan {speedup:.1f}x over per-rank")
+    assert speedup >= 5.0, (
+        f"planned trees only {speedup:.1f}x faster than the per-rank walk"
     )
 
 

@@ -28,7 +28,7 @@ Honors ``REPRO_JOBS``; exits non-zero on any violation.
 from __future__ import annotations
 
 import os
-import sys
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -38,6 +38,7 @@ from smoke_resume import (
     DID,
     SEED,
     SmokeFailure,
+    fail,
     interrupt_resume_report,
 )
 
@@ -96,19 +97,19 @@ def main() -> int:
             reference, workdir, faults=faults, cli_args=("--chaos", str(RATE)),
         )
     except SmokeFailure as exc:
-        print(f"FAIL: chaos {exc}", file=sys.stderr)
-        return 1
+        return fail(f"chaos {exc}", workdir)
 
     # -- phase 4: selection divergence vs the oracle ------------------
     agreement = agreement_rate(oracle, resumed)
     print(f"argmin agreement with fault-free oracle: {agreement:.1%} "
           f"(ties within {TIE:.0%} count as agreement)")
     if agreement < TOL:
-        print(f"FAIL: agreement {agreement:.1%} below tolerance {TOL:.0%}",
-              file=sys.stderr)
-        return 1
+        return fail(
+            f"agreement {agreement:.1%} below tolerance {TOL:.0%}", workdir
+        )
     print(f"OK: chaos campaign at {RATE:.0%} fault rate survived "
           f"(REPRO_JOBS={jobs})")
+    shutil.rmtree(workdir)
     return 0
 
 

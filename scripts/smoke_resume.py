@@ -20,6 +20,7 @@ Exits non-zero on any mismatch.
 from __future__ import annotations
 
 import os
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -43,6 +44,12 @@ class _InjectedInterrupt(KeyboardInterrupt):
 
 class SmokeFailure(Exception):
     """A violated smoke contract; ``main`` prints it as ``FAIL:``."""
+
+
+def fail(message: str, workdir: Path) -> int:
+    """Report a failed smoke run; its work directory stays for a post-mortem."""
+    print(f"FAIL: {message} (work directory kept: {workdir})", file=sys.stderr)
+    return 1
 
 
 def interrupt_resume_report(
@@ -120,10 +127,10 @@ def main() -> int:
     try:
         resumed = interrupt_resume_report(reference, workdir)
     except SmokeFailure as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
+        return fail(str(exc), workdir)
     print("OK: interrupted+resumed dataset is bit-identical "
           f"({len(resumed)} samples, REPRO_JOBS={jobs})")
+    shutil.rmtree(workdir)
     return 0
 
 

@@ -156,6 +156,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import handle_request, serve_lines
     from repro.serve.worker import build_state
 
+    if args.chaos_ops and not args.workers:
+        print(
+            "serve: --chaos-ops needs --workers N (the chaos ops are "
+            "fleet socket ops; the stdin loop has none)",
+            file=sys.stderr,
+        )
+        return 2
     if args.workers:
         # fleet mode: a socket front-end over worker subprocesses
         # (stdin JSONL stays the --workers 0 default)

@@ -37,6 +37,9 @@ GATE_METRICS: dict[str, bool] = {
     # copy-per-round / reused segmented-ring cost
     # (test_simulator_throughput)
     "fastsim_round_reuse_speedup_x": True,
+    # per-rank / planned nonoverlapping-allreduce tree cost
+    # (test_simulator_throughput)
+    "fastsim_tree_plan_speedup_x": True,
 }
 
 #: default thresholds (fractions of the baseline)

@@ -22,7 +22,10 @@ upstream availability ``ready[s]``, the completion of segment ``s`` is ::
     end[s] = max(end[s-1], ready[s]) + B[s]
            = C[s] + max_{j<=s} (ready[j] - C[j-1]),   C = cumsum(B)
 
-a running maximum, i.e. ``np.maximum.accumulate``.
+a running maximum, i.e. ``np.maximum.accumulate``. A tree is planned
+once (BFS levels, padded child columns, per-edge costs as arrays; cached
+by value) and each call scans all ranks of one BFS level as one
+``(ranks, segments)`` array, bit-identical to scanning rank by rank.
 
 NIC contention is approximated *structurally*: each edge's effective
 per-byte rate is inflated by the number of distinct ranks on the source
@@ -37,8 +40,10 @@ applied per repetition by the benchmark harness (:mod:`repro.bench`).
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,69 +110,80 @@ def contention_counts(
     return inject.clip(min=1), drain.clip(min=1)
 
 
-@dataclass(frozen=True)
-class _EdgeCost:
-    """Per-byte and fixed costs of one tree edge under contention."""
-
-    busy_per_byte: float  # sender occupancy
-    wire_per_byte: float  # end-to-end per-byte rate
-    latency: float
-    overhead: float
-
-    def busy(self, sizes: np.ndarray) -> np.ndarray:
-        return self.overhead + sizes * self.busy_per_byte
-
-    def in_flight(self, sizes: np.ndarray) -> np.ndarray:
-        """Time between injection end and payload arrival at the peer.
-
-        Excludes the receiver's cpu overhead: that is charged to the
-        *receiving rank's* occupancy (it serialises with its own sends),
-        not to the wire.
-        """
-        extra = sizes * np.maximum(self.wire_per_byte - self.busy_per_byte, 0.0)
-        return self.latency + extra
-
-
-def _edge_cost(
-    machine: MachineModel,
-    topo: Topology,
-    src: int,
-    dst: int,
-    inject_count: np.ndarray,
-    drain_count: np.ndarray,
-) -> _EdgeCost:
-    if topo.same_node(src, dst):
-        return _EdgeCost(
-            busy_per_byte=machine.beta_intra,
-            wire_per_byte=machine.beta_intra,
-            latency=machine.alpha_intra,
-            overhead=machine.cpu_overhead,
-        )
-    inj = machine.nic_gap * inject_count[topo.node_of(src)]
-    drain = machine.nic_gap * drain_count[topo.node_of(dst)]
-    wire = max(machine.beta_inter, inj, drain)
-    return _EdgeCost(
-        busy_per_byte=inj,
-        wire_per_byte=wire,
-        latency=machine.alpha_inter,
-        overhead=machine.cpu_overhead,
-    )
-
-
 def _pipeline_scan(
     ready: np.ndarray, batch_busy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Max-plus scan: completion of each segment batch on one rank.
 
-    ``ready[s]`` is when segment ``s`` becomes available locally,
-    ``batch_busy[s]`` the rank's total occupancy to forward it.
+    ``ready[..., s]`` is when segment ``s`` becomes available locally,
+    ``batch_busy[..., s]`` the rank's total occupancy to forward it.
     Returns ``(start, end)`` arrays with
-    ``end[s] = max(end[s-1], ready[s]) + batch_busy[s]``.
+    ``end[s] = max(end[s-1], ready[s]) + batch_busy[s]`` along the last
+    axis. A 2-D input holds one rank per row; each row is scanned in
+    segment order on its own, exactly as it would be alone.
     """
-    cum = np.cumsum(batch_busy)
-    offset = np.maximum.accumulate(ready - (cum - batch_busy))
+    cum = np.cumsum(batch_busy, axis=-1)
+    offset = np.maximum.accumulate(ready - (cum - batch_busy), axis=-1)
     end = cum + offset
     return end - batch_busy, end
+
+
+class _LinkCosts(NamedTuple):
+    """The machine constants a tree plan depends on (its cache key)."""
+
+    alpha_inter: float
+    beta_inter: float
+    nic_gap: float
+    alpha_intra: float
+    beta_intra: float
+    cpu_overhead: float
+
+    @classmethod
+    def of(cls, machine: MachineModel) -> "_LinkCosts":
+        return cls(
+            machine.alpha_inter, machine.beta_inter, machine.nic_gap,
+            machine.alpha_intra, machine.beta_intra, machine.cpu_overhead,
+        )
+
+
+class _Hop(NamedTuple):
+    """The ``j``-th child of every sending rank of one BFS level.
+
+    ``kid`` holds the child ranks, padded with the dummy edge for ranks
+    with fewer than ``j + 1`` children. The cost columns are ``(R, 1)``
+    so they broadcast over segments; the dummy edge costs exactly zero,
+    so a padded hop adds ``+0.0``.
+    """
+
+    kid: np.ndarray
+    overhead: np.ndarray
+    busy_per_byte: np.ndarray  # sender occupancy per byte
+    latency: np.ndarray
+    excess_per_byte: np.ndarray  # max(wire - busy, 0) per byte in flight
+
+
+class _Level(NamedTuple):
+    """One BFS depth: its ranks (those with children first), their
+    children in send order and, upward, each rank's edge to its parent."""
+
+    ranks: np.ndarray
+    n_internal: int
+    hops: tuple[_Hop, ...]
+    nkids: np.ndarray  # (n_internal, 1)
+    up_overhead: np.ndarray | None  # (len(ranks), 1); upward, depth >= 1
+    up_busy_per_byte: np.ndarray | None
+
+
+class _TreePlan(NamedTuple):
+    """Everything about a tree that does not depend on the message."""
+
+    size: int
+    levels: tuple[_Level, ...]
+    leaves: np.ndarray  # non-root ranks without children
+
+
+#: plans kept per process; a campaign chunk needs a few per topology
+_PLAN_CACHE_SIZE = 64
 
 
 def pipeline_tree_time(
@@ -198,6 +214,10 @@ def pipeline_tree_time(
     parent receives each segment from each child (serialised) and folds
     it into its accumulator at the machine's reduction rate. Returns
     the time the root finishes combining the last segment.
+
+    The tree is planned once per (tree, topology, link costs,
+    direction) and the plan is cached by value; each call then costs
+    one BFS level at a time as ``(ranks, segments)`` array steps.
     """
     parent = np.asarray(parent, dtype=np.int64)
     if parent.shape != (topo.size,):
@@ -209,90 +229,193 @@ def pipeline_tree_time(
     roots = np.flatnonzero(parent == -1)
     if len(roots) != 1:
         raise ValueError(f"tree must have exactly one root, found {len(roots)}")
-    root = int(roots[0])
     sizes = segment_sizes(nbytes, seg_bytes)
-    nseg = len(sizes)
-    inject, drain = contention_counts(topo, parent)
+    plan = _tree_plan(
+        parent.tobytes(), tuple(map(tuple, children)),
+        topo.num_nodes, topo.ppn, _LinkCosts.of(machine),
+        reduce_up, require_spanning,
+    )
+    if reduce_up:
+        return _reduce_up(plan, sizes, machine)
+    return _bcast_down(plan, sizes, machine.cpu_overhead)
 
-    order = _bfs_order(root, children, topo.size, require_spanning)
 
-    o = machine.cpu_overhead
-    if not reduce_up:
-        # ready[r] = *arrival* time of each segment at rank r (before
-        # the receive overhead, which serialises with r's own sends).
-        ready: list[np.ndarray | None] = [None] * topo.size
-        ready[root] = np.zeros(nseg)
-        finish = np.zeros(topo.size)
-        for r in order:
-            r_ready = ready[r]
-            assert r_ready is not None
-            recv_o = 0.0 if r == root else o
-            kids = list(children[r])
-            if not kids:
-                finish[r] = r_ready[-1] + recv_o
-                continue
-            costs = [_edge_cost(machine, topo, r, c, inject, drain) for c in kids]
-            batch_busy = np.full(nseg, recv_o)
-            for cost in costs:
-                batch_busy += cost.busy(sizes)
-            start, end = _pipeline_scan(r_ready, batch_busy)
-            finish[r] = end[-1]
-            # Child c's copy of segment s arrives when its send (the
-            # c-th in the batch) completes plus the in-flight part.
-            prefix = np.full(nseg, recv_o)
-            for cost, child in zip(costs, kids, strict=True):
-                prefix += cost.busy(sizes)
-                ready[child] = start + prefix + cost.in_flight(sizes)
-        return float(finish.max())
+def _bcast_down(plan: _TreePlan, sizes: np.ndarray, o: float) -> float:
+    # ready[r] = *arrival* time of each segment at rank r (before the
+    # receive overhead, which serialises with r's own sends); the last
+    # row belongs to the dummy edge and is never read.
+    ready = np.empty((plan.size + 1, len(sizes)))
+    ready[plan.levels[0].ranks] = 0.0
+    finish = 0.0
+    for depth, level in enumerate(plan.levels):
+        if not level.n_internal:
+            continue
+        recv_o = 0.0 if depth == 0 else o
+        # prefix[j]: occupancy up to and including the send to child j
+        prefix = []
+        for hop in level.hops:
+            busy = hop.overhead + sizes * hop.busy_per_byte
+            prefix.append(busy + (prefix[-1] if prefix else recv_o))
+        start, end = _pipeline_scan(
+            ready[level.ranks[: level.n_internal]], prefix[-1]
+        )
+        finish = max(finish, end[:, -1].max())
+        # Child j's copy of segment s arrives when its send (the j-th
+        # in the batch) completes plus the in-flight part.
+        for hop, done in zip(level.hops, prefix, strict=True):
+            in_flight = hop.latency + sizes * hop.excess_per_byte
+            ready[hop.kid] = start + done + in_flight
+    if len(plan.leaves):
+        finish = max(finish, (ready[plan.leaves, -1] + o).max())
+    return float(finish)
 
-    # Upward (reduce): process leaves first.
-    sent: list[np.ndarray | None] = [None] * topo.size  # per-rank send end
-    done = np.zeros(topo.size)
-    for r in reversed(order):
-        kids = list(children[r])
-        if kids:
+
+def _reduce_up(plan: _TreePlan, sizes: np.ndarray, machine: MachineModel) -> float:
+    # sent[r] = when rank r's send of each segment to its parent ends;
+    # the dummy edge's row stays zero so padded hops never win a max.
+    sent = np.empty((plan.size + 1, len(sizes)))
+    sent[plan.size] = 0.0
+    fold = sizes * machine.gamma_reduce + machine.cpu_overhead
+
+    def combined(level: _Level) -> np.ndarray:
+        """When each rank of ``level`` has folded in each segment."""
+        out = np.zeros((len(level.ranks), len(sizes)))  # leaves: own data
+        if level.n_internal:
             # Receive from each child per segment, fold with gamma.
-            arrive = np.zeros(nseg)
-            for c in kids:
-                cost = _edge_cost(machine, topo, c, r, inject, drain)
-                c_send = sent[c]
-                assert c_send is not None
-                arrive = np.maximum(arrive, c_send + cost.in_flight(sizes))
-            fold = len(kids) * (
-                sizes * machine.gamma_reduce + machine.cpu_overhead
-            )
-            _, combined = _pipeline_scan(arrive, fold)
-        else:
-            combined = np.zeros(nseg)
-        done[r] = combined[-1]
-        if parent[r] >= 0:
-            cost = _edge_cost(machine, topo, r, int(parent[r]), inject, drain)
-            _, send_end = _pipeline_scan(combined, cost.busy(sizes))
-            sent[r] = send_end
-    return float(done[root])
+            arrive = None
+            for hop in level.hops:
+                got = sent[hop.kid] + (hop.latency + sizes * hop.excess_per_byte)
+                arrive = got if arrive is None else np.maximum(arrive, got)
+            _, out[: level.n_internal] = _pipeline_scan(arrive, level.nkids * fold)
+        return out
+
+    for level in reversed(plan.levels[1:]):
+        busy = level.up_overhead + sizes * level.up_busy_per_byte
+        _, sent[level.ranks] = _pipeline_scan(combined(level), busy)
+    return float(combined(plan.levels[0])[0, -1])
 
 
-def _bfs_order(
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _tree_plan(
+    parent_bytes: bytes,
+    children: tuple[tuple[int, ...], ...],
+    num_nodes: int,
+    ppn: int,
+    costs: _LinkCosts,
+    reduce_up: bool,
+    require_spanning: bool,
+) -> _TreePlan:
+    """BFS levels, padded hop matrices and per-edge costs of one tree."""
+    topo = Topology(num_nodes, ppn)
+    parent = np.frombuffer(parent_bytes, dtype=np.int64)
+    root = int(np.flatnonzero(parent == -1)[0])
+    depths = _bfs_levels(root, children, topo.size, require_spanning)
+    order = np.array([r for ranks in depths for r in ranks], dtype=np.int64)
+    # The edges are indexed by child, so each child's parent entry must
+    # name the rank that lists it.
+    lister = np.repeat(order, [len(children[r]) for r in order])
+    wrong = np.flatnonzero(parent[order[1:]] != lister)
+    if len(wrong):
+        c = int(order[1 + wrong[0]])
+        raise ValueError(
+            f"rank {c} is a child of rank {lister[wrong[0]]} "
+            f"but its parent entry is {parent[c]}"
+        )
+    edge = _edge_costs(costs, topo, parent, order[1:], reduce_up)
+    overhead, busy_per_byte = edge[:2]
+    dummy = topo.size
+    levels = []
+    leaves: list[int] = []
+    for depth, ranks in enumerate(depths):
+        internal = [r for r in ranks if children[r]]
+        tips = [r for r in ranks if not children[r]]
+        if depth:
+            leaves.extend(tips)
+        nkids = [len(children[r]) for r in internal]
+        kid = np.full((len(internal), max(nkids, default=0)), dummy, dtype=np.int64)
+        for row, r in enumerate(internal):
+            kid[row, : nkids[row]] = children[r]
+        # _edge_costs yields the constants in _Hop's field order
+        hops = tuple(
+            _Hop(column, *(values[column][:, None] for values in edge))
+            for column in (kid[:, j].copy() for j in range(kid.shape[1]))
+        )
+        rows = np.array(internal + tips, dtype=np.int64)
+        up = (None, None)
+        if reduce_up and depth:
+            up = (overhead[rows][:, None], busy_per_byte[rows][:, None])
+        levels.append(_Level(
+            rows, len(internal), hops,
+            np.array(nkids, dtype=np.int64)[:, None], *up,
+        ))
+    return _TreePlan(topo.size, tuple(levels), np.array(leaves, dtype=np.int64))
+
+
+def _bfs_levels(
     root: int,
     children: Sequence[Sequence[int]],
     size: int,
-    require_spanning: bool = True,
-) -> list[int]:
-    order = [root]
+    require_spanning: bool,
+) -> list[list[int]]:
+    """The ranks reachable from ``root``, grouped by depth in BFS order;
+    checks that every child is listed once and, if asked, that the tree
+    spans all ``size`` ranks."""
+    depths = [[root]]
     seen = {root}
-    head = 0
-    while head < len(order):
-        r = order[head]
-        head += 1
-        for c in children[r]:
-            if c in seen:
-                raise ValueError(f"rank {c} appears twice in the tree")
-            seen.add(c)
-            order.append(c)
-    if require_spanning and len(order) != size:
-        missing = size - len(order)
+    while True:
+        below = []
+        for r in depths[-1]:
+            for c in children[r]:
+                if c in seen:
+                    raise ValueError(f"rank {c} appears twice in the tree")
+                seen.add(c)
+                below.append(c)
+        if not below:
+            break
+        depths.append(below)
+    if require_spanning and len(seen) != size:
+        missing = size - len(seen)
         raise ValueError(f"tree does not span all ranks ({missing} unreachable)")
-    return order
+    return depths
+
+
+def _edge_costs(
+    costs: _LinkCosts,
+    topo: Topology,
+    parent: np.ndarray,
+    kids: np.ndarray,
+    reduce_up: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(overhead, busy_per_byte, latency, excess_per_byte)`` per edge.
+
+    The edge of child ``c`` runs ``parent[c] -> c`` downward and
+    ``c -> parent[c]`` upward; index ``topo.size`` is the zero-cost
+    dummy edge. An intra-node edge is a shared-memory copy. An
+    inter-node edge occupies its sender at the source NIC's gap times
+    the node's injecting ranks, and moves at the slowest of the link
+    rate and the two NICs' shares (:func:`contention_counts`).
+    """
+    up = parent[kids]
+    inject, drain = contention_counts(topo, parent)
+    node = topo.node_map
+    src, dst = (kids, up) if reduce_up else (up, kids)
+    inter = node[src] != node[dst]
+    inj = costs.nic_gap * inject[node[src]]
+    wire = np.maximum(
+        np.maximum(costs.beta_inter, inj), costs.nic_gap * drain[node[dst]]
+    )
+    per_edge = (
+        costs.cpu_overhead,
+        np.where(inter, inj, costs.beta_intra),
+        np.where(inter, costs.alpha_inter, costs.alpha_intra),
+        np.where(inter, np.maximum(wire - inj, 0.0), 0.0),
+    )
+    out = []
+    for values in per_edge:
+        column = np.zeros(topo.size + 1)
+        column[kids] = values
+        out.append(column)
+    return out[0], out[1], out[2], out[3]
 
 
 @dataclass(frozen=True)
@@ -433,19 +556,26 @@ def linear_time(
         raise ValueError(f"nbytes must be >= 0, got {nbytes}")
     o = machine.cpu_overhead
     m = float(nbytes)
+    peer_nodes: list[int] = []
+    if len(peers):
+        home = topo.node_of(root)
+        ranks = np.asarray(peers, dtype=np.int64)
+        outside = ranks[(ranks < 0) | (ranks >= topo.size)]
+        if len(outside):
+            topo.node_of(int(outside[0]))  # raises, naming the rank
+        peer_nodes = topo.node_map[ranks].tolist()
     if not gather:
         clock = 0.0
         last_delivery = 0.0
         dst_nic_free = np.zeros(topo.num_nodes)
-        for dst in peers:
+        for dnode in peer_nodes:
             clock += o
-            if topo.same_node(root, dst):
+            if dnode == home:
                 busy = m * machine.beta_intra
                 arrival = clock + machine.alpha_intra + busy
                 clock += busy
             else:
                 inject_end = clock + m * machine.nic_gap
-                dnode = topo.node_of(dst)
                 drain_start = max(
                     clock + machine.alpha_inter, dst_nic_free[dnode]
                 )
@@ -462,16 +592,15 @@ def linear_time(
     # them one after another and (optionally) folds each buffer.
     clock = 0.0
     src_nic_free = np.zeros(topo.num_nodes)
-    for src in peers:
-        if topo.same_node(src, root):
+    for snode in peer_nodes:
+        if snode == home:
             arrival = o + machine.alpha_intra + m * machine.beta_intra
         else:
-            snode = topo.node_of(src)
             inject_start = max(o, src_nic_free[snode])
             src_nic_free[snode] = inject_start + m * machine.nic_gap
             arrival = inject_start + machine.alpha_inter + m * machine.beta_inter
         clock = max(clock, arrival) + o
-        if not topo.same_node(src, root):
+        if snode != home:
             clock += m * machine.nic_gap  # root NIC drains serially
         if reduce_at_root:
             clock += m * machine.gamma_reduce

@@ -10,8 +10,10 @@ from repro.bench.runner import DatasetRunner, GridSpec
 from repro.experiments.datasets import Scale, dataset_spec
 from repro.machine.zoo import get_machine, tiny_testbed
 from repro.mpilib import get_library
+from repro.simulator import fastsim
 
 from tests.simulator.round_reference import copy_per_round
+from tests.simulator.tree_reference import per_rank_trees
 
 
 @pytest.fixture(scope="module")
@@ -182,30 +184,73 @@ class TestParallelRunner:
         assert total == 63 * self.GRID.num_instances  # 63 bcast configs
 
 
+def d2_campaign(seed: int, n_jobs: int):
+    """d2's CI grid trimmed to nodes (4, 8)."""
+    spec = dataset_spec("d2")
+    grid = dataclasses.replace(spec.grid(Scale.CI), nodes=(4, 8))
+    runner = DatasetRunner(
+        get_machine(spec.machine), get_library(spec.library),
+        BenchmarkSpec(max_nreps=25), seed=seed,
+    )
+    return runner.run(
+        spec.collective, grid, name="d2-ci",
+        exclude_algids=spec.exclude_algids, n_jobs=n_jobs,
+    )
+
+
 class TestRoundReuseCampaign:
     """The d2 campaign with round reuse is array-equal to one costing a
     fresh copy of every round, at any worker count."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_d2_campaign_matches_copy_per_round(self, seed):
-        spec = dataset_spec("d2")
-        grid = dataclasses.replace(spec.grid(Scale.CI), nodes=(4, 8))
-
-        def campaign(n_jobs):
-            runner = DatasetRunner(
-                get_machine(spec.machine), get_library(spec.library),
-                BenchmarkSpec(max_nreps=25), seed=seed,
-            )
-            return runner.run(
-                spec.collective, grid, name="d2-ci",
-                exclude_algids=spec.exclude_algids, n_jobs=n_jobs,
-            )
-
         with copy_per_round():
-            reference = campaign(1)
+            reference = d2_campaign(seed, 1)
         for n_jobs in (1, 2):
-            reused = campaign(n_jobs)
+            reused = d2_campaign(seed, n_jobs)
             for attr in ("config_id", "nodes", "ppn", "msize", "time"):
                 np.testing.assert_array_equal(
                     getattr(reused, attr), getattr(reference, attr)
                 )
+
+
+class TestTreePlanCampaign:
+    """Campaigns costed through planned trees are array-equal to ones
+    walking every tree rank by rank, at any worker count."""
+
+    COLUMNS = ("config_id", "nodes", "ppn", "msize", "time")
+
+    @staticmethod
+    def assert_planned_matches_reference(campaign):
+        with per_rank_trees():
+            reference = campaign(1)
+        for n_jobs in (1, 2):
+            fastsim._tree_plan.cache_clear()  # threads build the plans
+            planned = campaign(n_jobs)
+            for attr in TestTreePlanCampaign.COLUMNS:
+                np.testing.assert_array_equal(
+                    getattr(planned, attr), getattr(reference, attr)
+                )
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_d2_campaign_matches_per_rank_trees(self, seed):
+        self.assert_planned_matches_reference(
+            lambda n_jobs: d2_campaign(seed, n_jobs)
+        )
+
+    def test_tiny_testbed_bcast_campaign_matches_per_rank_trees(self):
+        # the retrain workload's base campaign: chains, split-binary and
+        # hierarchical trees on small allocations
+        grid = GridSpec(
+            nodes=(2, 4, 8), ppns=(1, 2),
+            msizes=(64, 1024, 4096, 65_536, 262_144, 1_048_576),
+        )
+
+        def campaign(n_jobs):
+            runner = DatasetRunner(
+                tiny_testbed, get_library("Open MPI"),
+                BenchmarkSpec(max_nreps=30), seed=1,
+            )
+            return runner.run("bcast", grid, name="tiny-bcast", n_jobs=n_jobs)
+
+        self.assert_planned_matches_reference(campaign)

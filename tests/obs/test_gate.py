@@ -26,6 +26,7 @@ BASE = {
     "serve_cached_speedup_x": 50.0,
     "serve_compiled_speedup_x": 6.0,
     "fastsim_round_reuse_speedup_x": 500.0,
+    "fastsim_tree_plan_speedup_x": 18.0,
 }
 
 
@@ -127,7 +128,7 @@ class TestCompareMetrics:
             compare_metrics(BASE, BASE, warn_frac=0.5, fail_frac=0.1)
 
     def test_every_gate_metric_has_direction(self):
-        # the gate tracks exactly the six same-process speedup ratios
+        # the gate tracks exactly the seven same-process speedup ratios
         assert set(GATE_METRICS) == set(BASE)
         assert all(GATE_METRICS.values())
 

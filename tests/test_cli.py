@@ -43,6 +43,16 @@ class TestCommands:
         assert main(["experiment", "table3", "--scale", "ci"]) == 0
         assert "Table III" in capsys.readouterr().out
 
+    def test_serve_chaos_ops_needs_workers(self, capsys):
+        # refused before any model loads or any stdin line is read
+        code = main(["serve", "--chaos-ops", "--rules", "hydra_bcast_rules.conf"])
+        assert code == 2
+        assert "--chaos-ops needs --workers" in capsys.readouterr().err
+
+    def test_serve_tune_refused_with_workers(self, capsys):
+        assert main(["serve", "--workers", "2", "--tune", "bcast"]) == 2
+        assert "--tune is incompatible with --workers" in capsys.readouterr().err
+
     @pytest.mark.slow
     def test_tune_writes_rules(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "rules.json"
